@@ -271,7 +271,7 @@ def _run_verifier(tid: str, args, pools: dict) -> list[dict]:
         targets += pools["F"]
         for label, f in targets:
             rep_ii, rep_iii = verify_thm21_margins(f, c, args.samples)
-            rep = rep_ii if tid.endswith("ii") else rep_iii
+            rep = rep_ii if tid == "thm2.1.ii" else rep_iii
             add(label, rep.to_json_dict(), rep.passed)
     elif tid == "thm2.2":
         targets = explicit or [

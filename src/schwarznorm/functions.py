@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import exp_path_integrals, segment_integral
+from ._integrate import exp_path_integrals, ray_path_integrals, segment_integral
 from ._sampling import disk_samples
 from .errors import DivisionBySingular, DomainError, SINGULAR_TOL
 from .jets import (
@@ -51,10 +51,6 @@ DEFAULT_JET_ORDER = 32
 # underlying functions have radius-1 singularities, so the tail decays like
 # |z|^64 and the cached jet serves every origin-centered query.
 _ORIGIN_ORDER = 64
-
-
-def _c_complex(x) -> complex:
-    return complex(x)
 
 
 def _prep(z) -> tuple[np.ndarray, bool]:
@@ -232,7 +228,8 @@ class AnalyticFunction:
 
     Subclasses implement the array-level hooks ``_value``, ``_deriv``,
     ``_preschwarzian``, ``_schwarzian`` (the latter two returning NaN at
-    points where f' vanishes) and ``jet``.  The public accessors accept
+    points where f' vanishes) and ``jet``; path-integrated kinds also
+    override ``_polar_value``.  The public accessors accept
     scalars or arrays, enforce |z| < 1 and raise
     :class:`DivisionBySingular` for scalar queries at singular points.
     """
@@ -252,27 +249,15 @@ class AnalyticFunction:
         raise NotImplementedError
 
     def _preschwarzian(self, zs: np.ndarray) -> np.ndarray:
-        return self._from_jets(zs, 2)
+        raise NotImplementedError
 
     def _schwarzian(self, zs: np.ndarray) -> np.ndarray:
-        return self._from_jets(zs, 3)
+        raise NotImplementedError
 
-    def _from_jets(self, zs: np.ndarray, order: int) -> np.ndarray:
-        out = np.empty(zs.shape, dtype=complex)
-        flat = zs.ravel()
-        res = out.ravel()
-        for i, z in enumerate(flat):
-            j = self.jet(complex(z), order)
-            fp = j.coeffs[1]
-            if abs(fp) <= SINGULAR_TOL:
-                res[i] = complex(np.nan, np.nan)
-                continue
-            p = 2.0 * j.coeffs[2] / fp
-            if order == 2:
-                res[i] = p
-            else:
-                res[i] = 6.0 * j.coeffs[3] / fp - 1.5 * p * p
-        return out
+    def _polar_value(self, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """f at radii[k] * exp(i thetas[j]), shape (len(radii), len(thetas)),
+        for increasing radii in (0, 1)."""
+        return self._value(radii[:, None] * np.exp(1j * thetas)[None, :])
 
     # -- public surface ----------------------------------------------------
     def value(self, z):
@@ -588,6 +573,10 @@ class ExtremalFcLambda(AnalyticFunction):
     def _value(self, zs):
         return segment_integral(self._deriv, zs)
 
+    def _polar_value(self, radii, thetas):
+        f, _ = ray_path_integrals(self._deriv, radii, thetas, need_outer=False)
+        return f
+
     def _deriv(self, zs):
         return (1.0 - self.lam * zs * zs) ** (-self.c / 2.0)
 
@@ -710,6 +699,10 @@ class SubordinationMember(AnalyticFunction):
 
     def _value(self, zs):
         _, f = exp_path_integrals(self._preschwarzian, zs)
+        return f
+
+    def _polar_value(self, radii, thetas):
+        _, f = ray_path_integrals(self._preschwarzian, radii, thetas)
         return f
 
     def _deriv(self, zs):

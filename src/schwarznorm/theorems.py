@@ -495,8 +495,11 @@ def univalence_predicates(f: AnalyticFunction, **norm_kwargs) -> UnivalencePredi
 def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
     """Pairwise injectivity of f over a polar grid of radius 0.98.
 
-    Returns False as soon as two distinct nodes map within 1e-10 of each
-    other.  Quadratic pair cost, hence the gridsize cap.
+    f is evaluated at radii 0.98 * k/gridsize, k = 1..gridsize, on gridsize
+    equally spaced rays, through the polar-grid hook ``_polar_value``.
+    Returns False when a k-d tree query over all gridsize**2 image points
+    finds two distinct nodes mapped within 1e-10 of each other.  Both the
+    evaluation and the tree grow with gridsize**2, hence the gridsize cap.
     """
     if gridsize > 200:
         raise ValueError("gridsize capped at 200 (quadratic pair cost)")
@@ -508,8 +511,7 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
         return cache[gridsize]
     radii = 0.98 * np.arange(1, gridsize + 1) / gridsize
     thetas = 2.0 * np.pi * np.arange(gridsize) / gridsize
-    zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    vals = f.value(zs)
+    vals = f._polar_value(radii, thetas).ravel()
     pts = np.column_stack([vals.real, vals.imag])
     tree = cKDTree(pts)
     result = len(tree.query_pairs(1e-10)) == 0

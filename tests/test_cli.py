@@ -6,6 +6,8 @@ import math
 import pytest
 
 from schwarznorm.cli import main
+from schwarznorm.functions import ExtremalFc
+from schwarznorm.theorems import verify_thm21_margins
 
 
 def run(capsys, *argv):
@@ -106,6 +108,17 @@ class TestVerify:
         )
         assert code == 0
         assert payload["overall_pass"]
+
+    def test_thm21_ids_carry_their_own_report(self, capsys):
+        # "thm2.1.iii" ends with "ii": the report must be chosen by exact id
+        rep_ii, rep_iii = verify_thm21_margins(ExtremalFc(2.0), 2.0, 1000)
+        assert rep_ii.worst_margin != pytest.approx(rep_iii.worst_margin, rel=1e-6, abs=0)
+        for tid, rep in (("thm2.1.ii", rep_ii), ("thm2.1.iii", rep_iii)):
+            code, payload = run_json(capsys, "verify", tid, "--gallery", "fc", "--c", "2")
+            assert code == 0
+            (entry,) = payload["results"]
+            assert entry["theorem_id"] == tid
+            assert entry["worst_margin"] == pytest.approx(rep.worst_margin, rel=1e-9, abs=0)
 
     def test_thm24_c3_extremal_fails_honestly(self, capsys):
         # the searched norm is 3 (attained at the origin), above c(4-c)/2

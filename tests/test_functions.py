@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from schwarznorm.errors import DomainError
 from schwarznorm.functions import (
@@ -14,6 +15,7 @@ from schwarznorm.functions import (
     Koebe,
     Mobius,
     Polynomial,
+    QuadraticPerturbation,
     SchurFunction,
     SubordinationMember,
     from_descriptor,
@@ -26,7 +28,7 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
-from schwarznorm.theorems import membership_status
+from schwarznorm.theorems import membership_status, univalence_bruteforce
 
 
 def cauchy_coefficients(f, z, order, rho=0.05, nodes=64):
@@ -275,6 +277,102 @@ class TestRecentering:
             oracle = cauchy_coefficients(f, z, 4, rho=0.04)
             for got, want in zip(j.coeffs, oracle):
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def polar_grid(gridsize):
+    """The nodes of ``univalence_bruteforce``: radii and angles."""
+    radii = 0.98 * np.arange(1, gridsize + 1) / gridsize
+    return radii, 2.0 * np.pi * np.arange(gridsize) / gridsize
+
+
+def schur_panel(variant, c):
+    return [
+        random_member(ClassSpec(c, variant == "F0"), 100 + degree, degree)
+        for degree in range(9)
+    ]
+
+
+# Kinds without a ray route; their hook evaluates ``_value`` on the grid.
+DEFAULT_HOOK_KINDS = [
+    lambda: make_gallery("koebe"),
+    lambda: make_extremal_fc(1.3),
+    lambda: QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.2 - 0.1j),
+]
+
+
+class TestPolarValue:
+    """The polar-grid hook (one path integration per ray for path-integrated
+    kinds) against ``value``, which integrates every point on its own."""
+
+    def assert_matches_value(self, f, gridsize):
+        radii, thetas = polar_grid(gridsize)
+        got = f._polar_value(radii, thetas)
+        assert got.shape == (gridsize, gridsize)
+        rays = np.arange(0, gridsize, max(1, gridsize // 6))  # at most 7 rays
+        want = f.value(radii[:, None] * np.exp(1j * thetas[rays])[None, :])
+        rel = np.max(np.abs(got[:, rays] - want) / np.abs(want))
+        assert rel <= 1e-12, (f, gridsize, rel)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_schur_members(self, variant, c):
+        for f in schur_panel(variant, c):
+            for gridsize in (50, 100, 200):
+                self.assert_matches_value(f, gridsize)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: make_extremal_fc_star(0.5),
+            lambda: make_extremal_fc_star(3.0),
+            lambda: make_extremal_fc_lambda(2.5, np.exp(0.7j)),
+            lambda: make_extremal_fc_lambda(1.0, -1j),
+            *DEFAULT_HOOK_KINDS,
+        ],
+    )
+    def test_closed_form_and_default_kinds(self, builder):
+        f = builder()
+        for gridsize in (5, 50, 100, 200):  # at 5 the gaps are split into panels
+            self.assert_matches_value(f, gridsize)
+
+    def test_one_integration_pass_per_ray(self):
+        # 16 integrand values per grid node; value() takes 8 panels of 16
+        cases = [
+            (random_member(ClassSpec(2.0, True), 3, 4), "_preschwarzian"),
+            (make_extremal_fc_lambda(2.5, np.exp(0.7j)), "_deriv"),
+        ]
+        for f, integrand in cases:
+            sizes = []
+            hook = getattr(f, integrand)
+            setattr(f, integrand, lambda zs, hook=hook: sizes.append(zs.size) or hook(zs))
+            f._polar_value(*polar_grid(50))
+            assert sum(sizes) == 50 * 50 * 16, (f, sizes)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+    def test_bruteforce_verdicts(self, c):
+        square = Polynomial([0, 0, 1])
+        others = [
+            make_extremal_fc_star(c),
+            make_extremal_fc_lambda(c, np.exp(0.7j)),
+            *(builder() for builder in DEFAULT_HOOK_KINDS),
+            square,
+        ]
+        radii, thetas = polar_grid(50)
+        zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+        for f in schur_panel("F", c) + schur_panel("F0", c) + others:
+            vals = f.value(zs)
+            pairs = cKDTree(np.column_stack([vals.real, vals.imag])).query_pairs(1e-10)
+            assert univalence_bruteforce(f, 50) == (not pairs), f
+        assert not univalence_bruteforce(square, 50)
+
+    @pytest.mark.parametrize("c, closed_form", [(1.0, np.arcsin), (2.0, np.arctanh)])
+    def test_fc_star_closed_forms(self, c, closed_form):
+        f = make_extremal_fc_star(c)
+        for gridsize in (5, 50, 100, 200):
+            radii, thetas = polar_grid(gridsize)
+            want = closed_form(radii[:, None] * np.exp(1j * thetas)[None, :])
+            rel = np.abs(f._polar_value(radii, thetas) - want) / np.abs(want)
+            assert np.max(rel) <= 1e-12
 
 
 class TestComposition:
