@@ -229,8 +229,8 @@ class AnalyticFunction:
     Subclasses implement the array-level hooks ``_value``, ``_deriv``,
     ``_preschwarzian``, ``_schwarzian`` (the latter two returning NaN at
     points where f' vanishes) and ``jet``; path-integrated kinds also
-    override ``_polar_value``.  The public accessors accept
-    scalars or arrays, enforce |z| < 1 and raise
+    override ``_polar_value`` and ``_value_and_deriv``.  The public
+    accessors accept scalars or arrays, enforce |z| < 1 and raise
     :class:`DivisionBySingular` for scalar queries at singular points.
     """
 
@@ -258,6 +258,10 @@ class AnalyticFunction:
         """f at radii[k] * exp(i thetas[j]), shape (len(radii), len(thetas)),
         for increasing radii in (0, 1)."""
         return self._value(radii[:, None] * np.exp(1j * thetas)[None, :])
+
+    def _value_and_deriv(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, f') at the same points."""
+        return self._value(zs), self._deriv(zs)
 
     # -- public surface ----------------------------------------------------
     def value(self, z):
@@ -708,6 +712,11 @@ class SubordinationMember(AnalyticFunction):
     def _deriv(self, zs):
         g, _ = exp_path_integrals(self._preschwarzian, zs, need_outer=False)
         return np.exp(g)
+
+    def _value_and_deriv(self, zs):
+        # one integration pass: G does not depend on need_outer
+        g, f = exp_path_integrals(self._preschwarzian, zs)
+        return f, np.exp(g)
 
     def origin_jet(self, order: int = _ORIGIN_ORDER) -> TaylorJet:
         if self._origin is None or self._origin.order < order:

@@ -6,7 +6,9 @@ Poincare density of the disk.  The suprema of the sharp examples are
 typically attained only as r -> 1, so the search runs in three phases:
 
 1. a polar grid with radii cosine-clustered toward the boundary,
-2. derivative-free simplex refinement from the best grid cells,
+2. derivative-free simplex refinement from the best grid cells, by an
+   in-module Nelder-Mead (``_nelder_mead``) that follows scipy.optimize's
+   non-adaptive method step for step on Python floats,
 3. Richardson extrapolation of the weighted modulus in (1 - r) along the
    best ray, to detect and quantify a boundary limit.
 
@@ -24,9 +26,9 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._integrate import richardson_limit
 from .errors import DivisionBySingular, DomainError, SearchUnreliable
@@ -104,6 +106,75 @@ def radial_profile(
     zs = rs * cmath.exp(1j * theta)
     w = _weighted_array(f, zs, power)
     return [(float(r), float(v)) for r, v in zip(rs, w) if not math.isnan(v)]
+
+
+def _nelder_mead(
+    func: Callable[[tuple[float, float]], float],
+    simplex: list[tuple[float, float]],
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+) -> tuple[list[tuple[float, float]], list[float], int]:
+    """Minimize ``func`` on the plane from a 3-vertex starting simplex.
+
+    This is the non-adaptive method of Nelder & Mead (Comput. J. 7 (1965)
+    308) exactly as ``scipy.optimize.minimize(method="Nelder-Mead")`` runs
+    it with ``initial_simplex`` and without ``maxfev``: the same reflection,
+    expansion, contraction and shrink arithmetic, the same branch order, a
+    stable sort of the vertices after every iteration, the xatol/fatol test
+    before each one, and the iteration count starting at 1.  It therefore
+    evaluates the same points in the same order, without scipy's per-call
+    array overhead.  ``func`` must not return NaN.
+
+    Returns the final simplex and its values, best first, and the
+    iteration count (scipy's ``nit``).
+    """
+    sim = list(simplex)
+    fsim = [func(p) for p in sim]
+
+    def _sort():
+        order = sorted(range(3), key=fsim.__getitem__)
+        sim[:] = [sim[k] for k in order]
+        fsim[:] = [fsim[k] for k in order]
+
+    _sort()
+    nit = 1
+    while nit < maxiter:
+        (x0, y0), (x1, y1), (x2, y2) = sim
+        f0, f1, f2 = fsim
+        if all(
+            d <= xatol
+            for d in (abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0))
+        ) and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol:
+            break
+        xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
+        xr = (2 * xb - x2, 2 * yb - y2)
+        fxr = func(xr)
+        if fxr < f0:
+            xe = (3 * xb - 2 * x2, 3 * yb - 2 * y2)
+            fxe = func(xe)
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < f1:
+            sim[2], fsim[2] = xr, fxr
+        else:
+            if fxr < f2:  # outside contraction
+                xc = (1.5 * xb - 0.5 * x2, 1.5 * yb - 0.5 * y2)
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (0.5 * xb + 0.5 * x2, 0.5 * yb + 0.5 * y2)
+                fxc = func(xc)
+                accept = fxc < f2
+            if accept:
+                sim[2], fsim[2] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in (1, 2):
+                    xj, yj = sim[j]
+                    sim[j] = (x0 + 0.5 * (xj - x0), y0 + 0.5 * (yj - y0))
+                    fsim[j] = func(sim[j])
+        nit += 1
+        _sort()
+    return sim, fsim, nit
 
 
 def hyperbolic_norm(
@@ -198,20 +269,14 @@ def hyperbolic_norm(
             val = _record(r, theta)
             return math.inf if math.isnan(val) else -val
 
-        res = minimize(
+        _, _, nit = _nelder_mead(
             objective,
-            np.array([r0, t0]),
-            method="Nelder-Mead",
-            options={
-                "maxiter": refine_maxiter,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "initial_simplex": np.array(
-                    [[r0, t0], [r1, t0], [r0, t0 + dtheta]]
-                ),
-            },
+            [(r0, t0), (r1, t0), (r0, t0 + dtheta)],
+            maxiter=refine_maxiter,
+            xatol=1e-10,
+            fatol=1e-12,
         )
-        total_iters += int(res.nit)
+        total_iters += nit
 
     certified = best[0]
     arg_r, arg_theta = best[1], best[2]

@@ -295,8 +295,8 @@ def verify_growth_distortion(
     rs = np.abs(zs)
     bounds_low, bounds_high = _growth_tables(c, rs)
     half = c / 2.0
-    fp = np.abs(f.deriv(zs))
-    fv = np.abs(f.value(zs))
+    fv, fp = f._value_and_deriv(zs)
+    fv, fp = np.abs(fv), np.abs(fp)
     margins = np.stack(
         [
             fp - (1.0 + rs * rs) ** -half,

@@ -28,7 +28,13 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
-from schwarznorm.theorems import membership_status, univalence_bruteforce
+from schwarznorm._sampling import disk_samples
+from schwarznorm.theorems import (
+    VALUE_SAMPLE_RADIUS,
+    membership_status,
+    univalence_bruteforce,
+    verify_growth_distortion,
+)
 
 
 def cauchy_coefficients(f, z, order, rho=0.05, nodes=64):
@@ -373,6 +379,33 @@ class TestPolarValue:
             want = closed_form(radii[:, None] * np.exp(1j * thetas)[None, :])
             rel = np.abs(f._polar_value(radii, thetas) - want) / np.abs(want)
             assert np.max(rel) <= 1e-12
+
+
+class TestValueAndDeriv:
+    """The fused hook: f and f' of path-integrated members from one
+    integration pass, bit for bit what ``value`` and ``deriv`` give."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_schur_members(self, variant, c):
+        zs = disk_samples(200, VALUE_SAMPLE_RADIUS)
+        for f in schur_panel(variant, c):
+            fv, fp = f._value_and_deriv(zs)
+            assert np.array_equal(fv, f.value(zs)), f
+            assert np.array_equal(fp, f.deriv(zs)), f
+
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_growth_distortion_integrates_once(self, variant):
+        for f in schur_panel(variant, 2.0):
+            sizes = []
+            hook = f._preschwarzian
+            f._preschwarzian = lambda zs, hook=hook: sizes.append(zs.size) or hook(zs)
+            fused = verify_growth_distortion(f, 2.0)
+            fused_evals, sizes[:] = sum(sizes), []
+            # the two-pass route: f' and f integrated separately
+            f._value_and_deriv = lambda zs, f=f: (f._value(zs), f._deriv(zs))
+            assert verify_growth_distortion(f, 2.0) == fused
+            assert sum(sizes) == 2 * fused_evals > 0
 
 
 class TestComposition:

@@ -5,18 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from schwarznorm.errors import SearchUnreliable
+from schwarznorm import norms
+from schwarznorm.errors import DivisionBySingular, SearchUnreliable
 from schwarznorm.functions import (
     ClassSpec,
     Composition,
+    Koebe,
     Mobius,
     Polynomial,
     make_extremal_fc_star,
     make_gallery,
     random_member,
 )
-from schwarznorm.norms import hyperbolic_norm, radial_profile, weighted_modulus
+from schwarznorm.norms import (
+    R_CAP,
+    _nelder_mead,
+    _radial_grid,
+    hyperbolic_norm,
+    radial_profile,
+    weighted_modulus,
+)
 
 
 class TestWeightedModulus:
@@ -154,3 +164,139 @@ class TestRadialProfile:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             radial_profile(make_gallery("identity"), 0.0, 1, "schwarzian")
+
+
+def scipy_nelder_mead(func, simplex, maxiter, xatol, fatol):
+    """The reference: scipy's Nelder-Mead with the options of the search."""
+    res = minimize(
+        func,
+        np.array(simplex[0]),
+        method="Nelder-Mead",
+        options={
+            "maxiter": maxiter,
+            "xatol": xatol,
+            "fatol": fatol,
+            "initial_simplex": np.array(simplex),
+        },
+    )
+    sim, fsim = res.final_simplex
+    return list(sim), list(fsim), int(res.nit)
+
+
+def traced(nelder_mead, func, simplex, **options):
+    """Run ``nelder_mead``; return the points it evaluated, in order, with
+    its final simplex, the values there, and its iteration count."""
+    points = []
+
+    def recorded(x):
+        points.append((float(x[0]), float(x[1])))
+        return func(x)
+
+    sim, fsim, nit = nelder_mead(recorded, simplex, **options)
+    sim = [(float(x), float(y)) for x, y in sim]
+    return points, sim, [float(v) for v in fsim], nit
+
+
+def refinement_objective(f, which):
+    """The objective ``hyperbolic_norm`` refines, without its bookkeeping."""
+
+    def objective(x):
+        r = min(abs(x[0]), R_CAP)
+        z = r * cmath.exp(1j * (x[1] % (2.0 * math.pi)))
+        try:
+            return -weighted_modulus(f, z, which)
+        except DivisionBySingular:
+            return math.inf
+
+    return objective
+
+
+def _capped_objective(x):
+    # +inf beyond the line x + y = 1.1, where the unconstrained minimum sits
+    if x[0] + x[1] > 1.1:
+        return math.inf
+    dx, dy = x[0] - 0.9, x[1] - 0.4
+    return dx * dx + 3.0 * dy * dy
+
+
+def _terraced_objective(x):
+    # a bowl cut into flat terraces: exact ties between distinct vertices
+    return float(math.floor(8.0 * (x[0] * x[0] + x[1] * x[1])))
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` evaluates exactly the points scipy's Nelder-Mead
+    evaluates, in the same order, and ends on the same simplex."""
+
+    OPTIONS = {"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12}
+
+    def assert_same_run(self, func, simplex):
+        ours = traced(_nelder_mead, func, simplex, **self.OPTIONS)
+        ref = traced(scipy_nelder_mead, func, simplex, **self.OPTIONS)
+        assert ours[0] == ref[0]  # evaluated points
+        assert ours[1:] == ref[1:]  # final simplex, its values, nit
+        return ours
+
+    # scipy's own convergence test meets inf - inf on the all-infinite start
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "simplex",
+        [
+            [(0.0, 0.0), (0.2, 0.0), (0.0, 0.2)],
+            [(0.7, 0.7), (0.1, 0.0), (0.0, 0.1)],  # one vertex at +inf
+            [(2.0, 2.0), (2.5, 2.0), (2.0, 2.5)],  # all at +inf: runs to maxiter
+        ],
+    )
+    def test_objective_infinite_on_part_of_the_plane(self, simplex):
+        points, _, _, nit = self.assert_same_run(_capped_objective, simplex)
+        assert any(_capped_objective(p) == math.inf for p in points)
+        if all(_capped_objective(v) == math.inf for v in simplex):
+            assert nit == self.OPTIONS["maxiter"]  # inf - inf fails fatol
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [
+            [(0.1, 0.1), (0.2, 0.1), (0.1, 0.2)],  # all three on one terrace
+            [(0.9, 0.3), (-0.4, 0.8), (0.5, -0.6)],
+            [(0.9, 0.3), (1.2, 0.3), (0.9, 0.6)],  # an expansion ties its reflection
+        ],
+    )
+    def test_exact_ties(self, simplex):
+        _, _, fsim, _ = self.assert_same_run(_terraced_objective, simplex)
+        assert fsim[0] == fsim[1]
+
+    def test_start_pinned_at_the_cap(self):
+        # the objective is flat in r beyond the cap, and this search
+        # wanders there until maxiter
+        rs = _radial_grid(256, R_CAP)
+        r0, r1 = float(rs[-1]), float(rs[-2])
+        f = random_member(ClassSpec(2.0), 8, 8)
+        objective = refinement_objective(f, "pre_schwarzian")
+        simplex = [(r0, 0.0), (r1, 0.0), (r0, 2.0 * math.pi / 256)]
+        _, sim, _, nit = self.assert_same_run(objective, simplex)
+        assert nit == self.OPTIONS["maxiter"]
+        assert max(r for r, _ in sim) > R_CAP
+
+    @pytest.mark.parametrize("which", ["pre_schwarzian", "schwarzian"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: random_member(ClassSpec(2.0), 8, 8), Koebe],
+        ids=["degree8", "koebe"],
+    )
+    def test_norm_search_runs_as_with_scipy(self, monkeypatch, build, which):
+        # every refinement start of a real search, objective and bookkeeping
+        # included, then the whole estimate
+        runs, estimates = {}, {}
+        for name, nelder_mead in (("ours", _nelder_mead), ("scipy", scipy_nelder_mead)):
+            log = runs[name] = []
+
+            def logged(func, simplex, nelder_mead=nelder_mead, log=log, **options):
+                points, sim, fsim, nit = traced(nelder_mead, func, simplex, **options)
+                log.append((points, sim, fsim, nit))
+                return sim, fsim, nit
+
+            monkeypatch.setattr(norms, "_nelder_mead", logged)
+            estimates[name] = hyperbolic_norm(build(), which)
+        assert len(runs["ours"]) == 8
+        assert runs["ours"] == runs["scipy"]
+        assert estimates["ours"].to_json_dict() == estimates["scipy"].to_json_dict()
