@@ -16,16 +16,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import (
-    DivisionBySingular,
-    DomainError,
-    GammaDegenerate,
-    SearchUnreliable,
-)
+from .errors import DivisionBySingular, DomainError, GammaDegenerate, SearchUnreliable
 from .functions import (
     AnalyticFunction,
     ClassSpec,
@@ -57,41 +52,18 @@ from .theorems import (
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass
-class VerificationReport:
-    """Aggregated outcome of one CLI invocation.
-
-    ``wall_time_ms`` is kept on the object for programmatic use but is
-    deliberately left out of the serialized JSON (and printed to stderr
-    instead): reports must be byte-identical across reruns and worker
-    counts so they can be diffed in CI.
-    """
-
-    tool_version: str
-    config_echo: dict
-    results: object
-    overall_pass: bool
-    wall_time_ms: int = field(default=0, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config": self.config_echo,
-            "results": self.results,
-            "overall_pass": self.overall_pass,
-        }
-
-
-_GALLERY_NAMES = (
-    "identity",
-    "koebe",
-    "half_plane",
-    "mobius",
-    "f2",
-    "fc",
-    "fc_star",
-    "fc_lambda",
-)
+# --gallery name -> map built from the parsed arguments
+_GALLERY = {
+    "identity": lambda a: make_gallery("identity"),
+    "koebe": lambda a: make_gallery("koebe"),
+    "half_plane": lambda a: make_gallery("half_plane"),
+    # default coefficients keep the pole at -1/0.3 outside the disk
+    "mobius": lambda a: make_gallery("mobius", a=1.0, b=0.0, c=0.3, d=1.0),
+    "f2": lambda a: ExtremalFc(2.0),
+    "fc": lambda a: ExtremalFc(a.c),
+    "fc_star": lambda a: ExtremalFcStar(a.c),
+    "fc_lambda": lambda a: ExtremalFcLambda(a.c, complex(a.lam)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,74 +89,68 @@ def _round12(obj):
     return obj
 
 
-def _emit(report: VerificationReport, args) -> None:
-    text = json.dumps(_round12(report.to_json_dict()), indent=2, sort_keys=True) + "\n"
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    sys.stderr.write(f"wall_time_ms={report.wall_time_ms}\n")
 
 
-def _emit_csv(rows: list[list], header: list[str], args) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt12(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+def _emit(args, results, start: float, passed: bool = True) -> int:
+    """Write the JSON report and return the exit code.  Wall-clock time goes
+    to stderr, so reports are byte-identical across reruns and worker counts."""
+    report = {
+        "tool_version": TOOL_VERSION,
+        "config": _config_echo(args),
+        "results": results,
+        "overall_pass": passed,
+    }
+    _write(json.dumps(_round12(report), indent=2, sort_keys=True) + "\n", args)
+    sys.stderr.write(f"wall_time_ms={round(1000.0 * (time.perf_counter() - start))}\n")
+    return 0 if passed else 1
+
+
+def _emit_csv(args, rows: list) -> int:
+    """Write a header row and data rows as CSV, floats at 12 digits."""
+    lines = [",".join(_fmt12(v) if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    _write("\n".join(lines) + "\n", args)
+    return 0
 
 
 def _build_function(args) -> AnalyticFunction:
-    if getattr(args, "spec", None):
+    if args.spec:
         return from_descriptor(json.loads(args.spec))
-    name = getattr(args, "gallery", None)
-    if not name:
+    if not args.gallery:
         raise ValueError("provide --gallery or --spec")
-    if name in ("identity", "koebe", "half_plane"):
-        return make_gallery(name)
-    if name == "mobius":
-        # default coefficients keep the pole at -1/0.3 outside the disk
-        return make_gallery("mobius", a=1.0, b=0.0, c=0.3, d=1.0)
-    if name == "f2":
-        return ExtremalFc(2.0)
-    if name == "fc":
-        return ExtremalFc(args.c)
-    if name == "fc_star":
-        return ExtremalFcStar(args.c)
-    if name == "fc_lambda":
-        return ExtremalFcLambda(args.c, complex(args.lam))
-    raise ValueError(f"unknown gallery name {name!r}")
+    return _GALLERY[args.gallery](args)
 
 
-def _config_echo(args, command: str) -> dict:
+def _config_echo(args) -> dict:
     spec = None
     if getattr(args, "spec", None):
         spec = json.loads(args.spec)
     elif getattr(args, "gallery", None):
         spec = {"gallery": args.gallery}
-    return {
-        "command": command,
+    echo = {
+        "command": args.command,
         "function_spec": spec,
-        "c": getattr(args, "c", None),
-        "seed": getattr(args, "seed", 0),
-        "samples": getattr(args, "samples", 1000),
-        "grid": list(getattr(args, "grid", (256, 256))),
-        "random": getattr(args, "random", 0),
+        "c": args.c,
+        "seed": args.seed,
+        "samples": args.samples,
+        "grid": list(args.grid),
+        "random": args.random,
         "which": getattr(args, "which", None),
-        "theta": getattr(args, "theta", None),
-        "format": getattr(args, "format", "json"),
+        "theta": args.theta,
+        "format": args.format,
     }
+    if args.command == "verify":
+        echo["theorem"] = args.theorem
+    return echo
 
 
 def _norm_kwargs(args) -> dict:
     return {"grid": tuple(args.grid), "workers": args.workers}
-
-
-def _ms_since(start: float) -> int:
-    return int(round(1000.0 * (time.perf_counter() - start)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,261 +161,179 @@ def cmd_norm(args) -> int:
     start = time.perf_counter()
     f = _build_function(args)
     which = [args.which] if args.which else ["pre_schwarzian", "schwarzian"]
-    results = {}
-    for w in which:
-        results[w] = hyperbolic_norm(f, w, **_norm_kwargs(args)).to_json_dict()
-    report = VerificationReport(
-        TOOL_VERSION, _config_echo(args, "norm"), results, True, _ms_since(start)
-    )
-    _emit(report, args)
-    return 0
+    results = {w: hyperbolic_norm(f, w, **_norm_kwargs(args)).to_json_dict() for w in which}
+    return _emit(args, results, start)
 
 
 def cmd_classify(args) -> int:
     start = time.perf_counter()
     f = _build_function(args)
     verdict = membership_status(f, args.c, args.samples)
-    report = VerificationReport(
-        TOOL_VERSION,
-        _config_echo(args, "classify"),
-        verdict.to_json_dict(),
-        True,
-        _ms_since(start),
-    )
-    _emit(report, args)
-    return 0
-
-
-def _random_members(args, variant: str, min_degree: int = 0):
-    out = []
-    spec = ClassSpec(args.c, variant == "F0")
-    for i in range(args.random):
-        degree = max(min_degree, i % 9)
-        seed = args.seed * 100000 + i
-        out.append((f"random[{variant},{i}]", random_member(spec, seed, degree)))
-    return out
-
-
-def _random_schurs(args):
-    out = []
-    for i in range(args.random):
-        seed = args.seed * 100000 + i
-        out.append((f"schur[{i}]", random_schur(seed, 1 + i % 8)))
-    return out
+    return _emit(args, verdict.to_json_dict(), start)
 
 
 def _target_pools(args) -> dict:
-    """Random target sets built once per run so that norm-search and
-    injectivity caches are shared between theorem verifiers."""
+    """Random target sets, built once per run so that memoized norm searches
+    and injectivity verdicts are shared between theorem ids."""
+    seeds = [args.seed * 100000 + i for i in range(args.random)]
+
+    def members(variant: str, min_degree: int = 0) -> list:
+        spec = ClassSpec(args.c, variant == "F0")
+        return [(f"random[{variant},{i}]", random_member(spec, seed, max(min_degree, i % 9)))
+                for i, seed in enumerate(seeds)]
+
     return {
-        "F": _random_members(args, "F"),
-        "F0": _random_members(args, "F0"),
+        "F": members("F"),
+        "F0": members("F0"),
         # the gamma-weighted bound needs gamma < 1, i.e. degree >= 1
-        "F_deg1": _random_members(args, "F", min_degree=1),
-        "schur": _random_schurs(args),
+        "F_deg1": members("F", min_degree=1),
+        "schur": [(f"schur[{i}]", random_schur(seed, 1 + i % 8))
+                  for i, seed in enumerate(seeds)],
     }
 
 
-def _explicit_target(args):
-    if getattr(args, "spec", None) or getattr(args, "gallery", None):
-        return [("target", _build_function(args))]
-    return []
+# Each check takes one target and the parsed arguments and returns the
+# target's report dict, "passed" included.  Checks look the theorem-level
+# functions up when called, and each entry ends with exactly one call to
+# its theorem-level function.
+
+
+def _thm21(index: int):
+    # one call yields the (ii) and (iii) reports; each id keeps its own
+    return lambda f, a: verify_thm21_margins(f, a.c, a.samples)[index].to_json_dict()
+
+
+def _thm25(f, args) -> dict:
+    try:
+        return verify_thm25(f, args.c, args.samples, **_norm_kwargs(args)).to_json_dict()
+    except GammaDegenerate as exc:
+        # reported, not asserted
+        return {"theorem_id": "thm2.5", "status": "gamma_degenerate", "detail": str(exc),
+                "passed": True}
+
+
+def _threshold(tid: str, f, args) -> dict:
+    """A univalence threshold against brute-force injectivity: a sufficient
+    test (Nehari, Becker, Ahlfors-Weill) that passes on a non-injective f
+    fails, and so does an injective f with ||S_f|| above Kraus-Nehari's 6."""
+    preds = univalence_predicates(f, **_norm_kwargs(args))
+    univalent = univalence_bruteforce(f)
+    sufficient = {"nehari": preds.nehari_sufficient, "becker": preds.becker_sufficient,
+                  "ahlfors-weill": preds.ahlfors_weill_k is not None}[tid]
+    checks = [0.0 if univalent else -1.0] if sufficient else []
+    if tid == "nehari" and univalent:
+        checks.append(6.0 + 1e-6 - preds.schwarzian_norm)
+    if tid == "ahlfors-weill" and sufficient:
+        checks.append(1.0 - preds.ahlfors_weill_k)
+    margin = min(checks, default=0.0)
+    return {
+        "theorem_id": tid,
+        "schwarzian_norm": preds.schwarzian_norm,
+        "preschwarzian_norm": preds.preschwarzian_norm,
+        "univalent": univalent,
+        "ahlfors_weill_k": preds.ahlfors_weill_k,
+        "worst_margin": margin,
+        "passed": margin >= -1e-9,
+    }
+
+
+def _maps(*names):
+    """Default targets: the named gallery maps at the run's c."""
+    return lambda a: [(name, _GALLERY[name](a)) for name in names]
+
+
+def _growth_defaults(args) -> list:
+    return [
+        ("fc_lambda[1]", ExtremalFcLambda(args.c, 1.0)),
+        ("fc_lambda[-1]", ExtremalFcLambda(args.c, -1.0)),
+        ("identity", make_gallery("identity")),
+    ]
+
+
+def _unit_schurs(args) -> list:
+    return [
+        ("schur[z]", SchurFunction.blaschke([0.0])),
+        ("schur[0]", SchurFunction.constant_map(0.0)),
+    ]
+
+
+_THRESHOLD_MAPS = _maps("identity", "koebe", "half_plane", "fc_star")
+
+# theorem id -> (default targets, random pool, check)
+_THEOREMS = {
+    "thm2.1.ii": (_maps("fc", "identity"), "F", _thm21(0)),
+    "thm2.1.iii": (_maps("fc", "identity"), "F", _thm21(1)),
+    "thm2.2": (_growth_defaults, "F0", lambda f, a: verify_growth_distortion(
+        f, a.c, min(a.samples, 200)).to_json_dict()),
+    "thm2.3": (_maps("fc_star", "identity"), "F0",
+               lambda f, a: verify_thm23(f, a.c, **_norm_kwargs(a)).to_json_dict()),
+    "thm2.4": (_maps("fc_star", "identity"), "F0",
+               lambda f, a: verify_thm24(f, a.c, **_norm_kwargs(a)).to_json_dict()),
+    "thm2.5": (_maps("fc_star"), "F_deg1", _thm25),
+    "lemmaA": (_unit_schurs, "schur", lambda s, a: verify_lemmaA(s, a.samples).to_json_dict()),
+    "psi": (_unit_schurs, "schur", lambda s, a: verify_psi(s, a.samples).to_json_dict()),
+    "nehari": (_THRESHOLD_MAPS, "F0", partial(_threshold, "nehari")),
+    "becker": (_THRESHOLD_MAPS, "F0", partial(_threshold, "becker")),
+    "ahlfors-weill": (_THRESHOLD_MAPS, "F0", partial(_threshold, "ahlfors-weill")),
+}
 
 
 def _run_verifier(tid: str, args, pools: dict) -> list[dict]:
-    """Reports for one theorem id over its default + requested targets."""
-    c = args.c
-    nk = _norm_kwargs(args)
-    explicit = _explicit_target(args)
-    entries = []
-
-    def add(target, report_dict, passed):
-        entries.append({"target": target, "passed": passed, **report_dict})
-
-    if tid in ("thm2.1.ii", "thm2.1.iii"):
-        targets = explicit or [("fc", ExtremalFc(c)), ("identity", make_gallery("identity"))]
-        targets += pools["F"]
-        for label, f in targets:
-            rep_ii, rep_iii = verify_thm21_margins(f, c, args.samples)
-            rep = rep_ii if tid == "thm2.1.ii" else rep_iii
-            add(label, rep.to_json_dict(), rep.passed)
-    elif tid == "thm2.2":
-        targets = explicit or [
-            ("fc_lambda[1]", ExtremalFcLambda(c, 1.0)),
-            ("fc_lambda[-1]", ExtremalFcLambda(c, -1.0)),
-            ("identity", make_gallery("identity")),
-        ]
-        targets += pools["F0"]
-        for label, f in targets:
-            rep = verify_growth_distortion(f, c, min(args.samples, 200))
-            add(label, rep.to_json_dict(), rep.passed)
-    elif tid in ("thm2.3", "thm2.4"):
-        verifier = verify_thm23 if tid == "thm2.3" else verify_thm24
-        targets = explicit or [
-            ("fc_star", ExtremalFcStar(c)),
-            ("identity", make_gallery("identity")),
-        ]
-        targets += pools["F0"]
-        for label, f in targets:
-            rep = verifier(f, c, **nk)
-            add(label, rep.to_json_dict(), rep.passed)
-    elif tid == "thm2.5":
-        targets = explicit or [("fc_star", ExtremalFcStar(c))]
-        targets += pools["F_deg1"]
-        for label, f in targets:
-            try:
-                rep = verify_thm25(f, c, args.samples, **nk)
-                add(label, rep.to_json_dict(), rep.passed)
-            except GammaDegenerate as exc:
-                entries.append(
-                    {
-                        "target": label,
-                        "theorem_id": "thm2.5",
-                        "status": "gamma_degenerate",
-                        "detail": str(exc),
-                        "passed": True,  # reported, not asserted
-                    }
-                )
-    elif tid in ("lemmaA", "psi"):
-        verifier = verify_lemmaA if tid == "lemmaA" else verify_psi
-        schurs = [
-            ("schur[z]", SchurFunction.blaschke([0.0])),
-            ("schur[0]", SchurFunction.constant_map(0.0)),
-        ]
-        schurs += pools["schur"]
-        for label, phi in schurs:
-            rep = verifier(phi, args.samples)
-            add(label, rep.to_json_dict(), rep.passed)
-    elif tid in ("nehari", "becker", "ahlfors-weill"):
-        targets = explicit or [
-            ("identity", make_gallery("identity")),
-            ("koebe", make_gallery("koebe")),
-            ("half_plane", make_gallery("half_plane")),
-            ("fc_star", ExtremalFcStar(c)),
-        ]
-        targets += pools["F0"]
-        for label, f in targets:
-            preds = univalence_predicates(f, **nk)
-            univalent = univalence_bruteforce(f)
-            checks = []
-            if tid == "nehari":
-                if univalent:
-                    checks.append(6.0 + 1e-6 - preds.schwarzian_norm)
-                if preds.nehari_sufficient:
-                    checks.append(0.0 if univalent else -1.0)
-            elif tid == "becker":
-                if preds.becker_sufficient:
-                    checks.append(0.0 if univalent else -1.0)
-            else:
-                if preds.ahlfors_weill_k is not None:
-                    checks.append(1.0 - preds.ahlfors_weill_k)
-                    checks.append(0.0 if univalent else -1.0)
-            margin = min(checks) if checks else 0.0
-            add(
-                label,
-                {
-                    "theorem_id": tid,
-                    "schwarzian_norm": preds.schwarzian_norm,
-                    "preschwarzian_norm": preds.preschwarzian_norm,
-                    "univalent": univalent,
-                    "ahlfors_weill_k": preds.ahlfors_weill_k,
-                    "worst_margin": margin,
-                },
-                margin >= -1e-9,
-            )
-    else:
-        raise ValueError(f"unknown theorem id {tid!r}")
-    return entries
+    """Entries for one theorem id: the requested target, else the id's
+    defaults, then its random pool."""
+    defaults, pool, check = _THEOREMS[tid]
+    requested = [("target", _build_function(args))] if args.spec or args.gallery else []
+    if pool == "schur":
+        requested = []  # Schur-function checks take no analytic map
+    targets = (requested or defaults(args)) + pools[pool]
+    return [{"target": label, **check(f, args)} for label, f in targets]
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
-    for tid in ids:
-        if tid not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {tid!r}")
+    if args.theorem != "all" and args.theorem not in THEOREM_IDS:
+        raise ValueError(f"unknown theorem id {args.theorem!r}")
     pools = _target_pools(args)
-    results = []
-    for tid in ids:
-        results.extend(_run_verifier(tid, args, pools))
-    overall = all(entry["passed"] for entry in results)
-    report = VerificationReport(
-        TOOL_VERSION,
-        {**_config_echo(args, "verify"), "theorem": args.theorem},
-        results,
-        overall,
-        _ms_since(start),
-    )
-    _emit(report, args)
-    return 0 if overall else 1
+    ids = THEOREM_IDS if args.theorem == "all" else [args.theorem]
+    results = [entry for tid in ids for entry in _run_verifier(tid, args, pools)]
+    return _emit(args, results, start, all(e["passed"] for e in results))
 
 
 def cmd_growth(args) -> int:
-    rows = []
+    rows = [["r", "distortion_low", "distortion_high", "growth_low", "growth_high"]]
     for r in np.linspace(0.0, 0.95, args.samples):
         b = growth_distortion_bounds(args.c, float(r))
         rows.append(
-            [float(r), b.distortion_low, b.distortion_high, b.growth_low, b.growth_high]
-        )
-    _emit_csv(
-        rows,
-        ["r", "distortion_low", "distortion_high", "growth_low", "growth_high"],
-        args,
-    )
-    return 0
+            [float(r), b.distortion_low, b.distortion_high, b.growth_low, b.growth_high])
+    return _emit_csv(args, rows)
 
 
 def cmd_profile(args) -> int:
     f = _build_function(args)
-    which = args.which or "schwarzian"
-    prof = radial_profile(f, args.theta, args.samples, which)
-    _emit_csv([[r, v] for r, v in prof], ["r", "value"], args)
-    return 0
+    prof = radial_profile(f, args.theta, args.samples, args.which or "schwarzian")
+    return _emit_csv(args, [["r", "value"], *prof])
+
+
+def _membership(f, args) -> dict:
+    verdict = membership_status(f, args.c, args.samples)
+    return {"passed": verdict.status != "violated", "membership": verdict.to_json_dict()}
 
 
 def cmd_random_suite(args) -> int:
+    """A preset of the verify table over the same pools: member by member,
+    thm2.3 and thm2.4 on the F0(c) member, then membership and thm2.5 on
+    the F(c) member of the same seed."""
     start = time.perf_counter()
+    pools = _target_pools(args)
+    steps = (("F0", "thm2.3"), ("F0", "thm2.4"),
+             ("F_deg1", "membership"), ("F_deg1", "thm2.5"))
+    checks = {"membership": _membership, **{tid: row[2] for tid, row in _THEOREMS.items()}}
     results = []
-    nk = _norm_kwargs(args)
     for i in range(args.random):
-        seed = args.seed * 100000 + i
-        f0 = random_member(ClassSpec(args.c, True), seed, i % 9)
-        label = f"random[F0,{i}]"
-        for rep in (verify_thm23(f0, args.c, **nk), verify_thm24(f0, args.c, **nk)):
-            results.append({"target": label, "passed": rep.passed, **rep.to_json_dict()})
-        f1 = random_member(ClassSpec(args.c), seed, max(1, i % 9))
-        label = f"random[F,{i}]"
-        verdict = membership_status(f1, args.c, args.samples)
-        results.append(
-            {
-                "target": label,
-                "passed": verdict.status != "violated",
-                "membership": verdict.to_json_dict(),
-            }
-        )
-        try:
-            rep = verify_thm25(f1, args.c, args.samples, **nk)
-            results.append({"target": label, "passed": rep.passed, **rep.to_json_dict()})
-        except GammaDegenerate as exc:
-            results.append(
-                {
-                    "target": label,
-                    "theorem_id": "thm2.5",
-                    "status": "gamma_degenerate",
-                    "detail": str(exc),
-                    "passed": True,
-                }
-            )
-    overall = all(entry["passed"] for entry in results)
-    report = VerificationReport(
-        TOOL_VERSION,
-        _config_echo(args, "random-suite"),
-        results,
-        overall,
-        _ms_since(start),
-    )
-    _emit(report, args)
-    return 0 if overall else 1
+        for pool, name in steps:
+            label, f = pools[pool][i]
+            results.append({"target": label, **checks[name](f, args)})
+    return _emit(args, results, start, all(e["passed"] for e in results))
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +348,26 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 256x256, got {text!r}") from exc
 
 
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_common(p: argparse.ArgumentParser, include_function: bool = True):
     if include_function:
-        p.add_argument("--gallery", choices=_GALLERY_NAMES)
+        p.add_argument("--gallery", choices=tuple(_GALLERY))
         p.add_argument("--spec", help="JSON function descriptor")
         p.add_argument("--lam", default="-1", help="lambda for fc_lambda (complex literal)")
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--grid", type=_parse_grid, default=(256, 256), metavar="RxA")
-    p.add_argument("--random", type=int, default=0, metavar="N")
+    p.add_argument("--random", type=_int_at_least(0), default=0, metavar="N")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", metavar="PATH")
@@ -483,34 +377,21 @@ def _add_common(p: argparse.ArgumentParser, include_function: bool = True):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schwarznorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("norm", help="hyperbolic norm of P_f or S_f")
-    p.add_argument("--which", choices=("pre_schwarzian", "schwarzian"))
-    _add_common(p)
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("classify", help="membership verdict for F(c)")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run theorem verifiers")
-    p.add_argument("theorem", help="theorem id or 'all'")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("growth", help="growth/distortion bound table (CSV)")
-    _add_common(p, include_function=False)
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("profile", help="radial profile of the weighted modulus (CSV)")
-    p.add_argument("--which", choices=("pre_schwarzian", "schwarzian"))
-    _add_common(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("random-suite", help="bound suite over seeded random members")
-    _add_common(p)
-    p.set_defaults(func=cmd_random_suite)
-
+    for name, func, help_text in (
+        ("norm", cmd_norm, "hyperbolic norm of P_f or S_f"),
+        ("classify", cmd_classify, "membership verdict for F(c)"),
+        ("verify", cmd_verify, "run theorem verifiers"),
+        ("growth", cmd_growth, "growth/distortion bound table (CSV)"),
+        ("profile", cmd_profile, "radial profile of the weighted modulus (CSV)"),
+        ("random-suite", cmd_random_suite, "bound suite over seeded random members"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            p.add_argument("theorem", help="theorem id or 'all'")
+        if name in ("norm", "profile"):
+            p.add_argument("--which", choices=("pre_schwarzian", "schwarzian"))
+        _add_common(p, include_function=name != "growth")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -526,14 +407,8 @@ def main(argv=None) -> int:
     except SearchUnreliable as exc:
         sys.stderr.write(f"numerical search failed: {exc}\n")
         return 2
-    except (
-        ValueError,
-        KeyError,
-        DomainError,
-        DivisionBySingular,
-        GammaDegenerate,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, KeyError, DomainError, DivisionBySingular, GammaDegenerate,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -17,13 +17,17 @@ evaluated weighted modulus; the extrapolated limit is reported as the value
 only when it exceeds that certified bound.  Grid evaluation is chunked
 (optionally across a thread pool) with a deterministic argmax reduction:
 ties break lexicographically in (r, theta), and results are bit-identical
-for any worker count.
+for any worker count.  So estimates are memoized per function and search
+parameters in ``_SEARCHES``, a module-level ``weakref.WeakKeyDictionary``:
+repeated searches share one result, the function is never modified, and
+its entries go when it does.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +44,7 @@ _WHICH = ("pre_schwarzian", "schwarzian")
 # the grid cap.
 _RICHARDSON_H0 = 8e-6
 _BOUNDARY_MARGIN = 1e-9
+_SEARCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -188,15 +193,10 @@ def hyperbolic_norm(
 ) -> NormEstimate:
     """Three-phase sup search for the hyperbolic norm of P_f or S_f."""
     power = _check_which(which)
-    # Searches are pure in everything but `workers` (which only chunks the
-    # grid), so results are memoized per function instance.
-    cache_key = (which, tuple(grid), r_cap, refine_starts, refine_maxiter)
-    cache = getattr(f, "_norm_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(f, "_norm_cache", cache)
-    if cache_key in cache:
-        return cache[cache_key]
+    memo = _SEARCHES.setdefault(f, {})
+    key = (which, tuple(grid), r_cap, refine_starts, refine_maxiter)
+    if key in memo:
+        return memo[key]
     nr, na = grid
     if nr < 2 or na < 1:
         raise ValueError("grid must have at least 2 radii and 1 angle")
@@ -303,5 +303,5 @@ def hyperbolic_norm(
         certified_lower=float(certified),
         extrapolated=None if extrapolated is None else float(extrapolated),
     )
-    cache[cache_key] = est
+    memo[key] = est
     return est

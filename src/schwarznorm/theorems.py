@@ -18,7 +18,8 @@ disk, 0 < c <= 3; F0(c) adds f''(0) = 0.  This module hosts:
   the norm-bound derivations;
 * univalence threshold predicates (Kraus-Nehari necessity at 6, Nehari
   sufficiency at 2, Becker at 1, the quasiconformal-extension coefficient
-  k = ||S||/2) and a brute-force injectivity oracle.
+  k = ||S||/2) and a brute-force injectivity oracle, whose verdicts are
+  memoized per function and gridsize in the weak-keyed ``_VERDICTS``.
 
 Margins are signed with "bound minus quantity >= 0" meaning pass, so every
 check reports how much slack survived instead of a bare boolean.
@@ -27,6 +28,7 @@ check reports how much slack survived instead of a bare boolean.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +139,6 @@ def _report(theorem_id, samples, margins, points) -> BoundReport:
 # Membership and the pointwise equivalents
 
 
-def _p_values(f: AnalyticFunction, zs: np.ndarray) -> np.ndarray:
-    return f._preschwarzian(zs)
-
-
 def _membership_margins(zs, p, c):
     m = (1.0 + zs * p).real - (1.0 - c / 2.0)
     return np.where(np.isnan(m), -np.inf, m)
@@ -163,7 +161,7 @@ def membership_status(
         raise ValueError("membership is defined for normalized (class A) functions")
     ClassSpec(c)
     zs = disk_samples(samples, MEMBERSHIP_RADIUS)
-    margins = _membership_margins(zs, _p_values(f, zs), c)
+    margins = _membership_margins(zs, f._preschwarzian(zs), c)
     idx = int(np.argmin(margins))
     margin = float(margins[idx])
     if margin < -1e-10:
@@ -228,7 +226,7 @@ def verify_thm21_margins(
     f: AnalyticFunction, c: float, samples: int = 1000
 ) -> tuple[BoundReport, BoundReport]:
     zs = disk_samples(samples, MEMBERSHIP_RADIUS)
-    ii, iii = _margins_ii_iii(zs, _p_values(f, zs), c)
+    ii, iii = _margins_ii_iii(zs, f._preschwarzian(zs), c)
     return (
         _report("thm2.1.ii", samples, ii, zs),
         _report("thm2.1.iii", samples, iii, zs),
@@ -492,6 +490,9 @@ def univalence_predicates(f: AnalyticFunction, **norm_kwargs) -> UnivalencePredi
     )
 
 
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
     """Pairwise injectivity of f over a polar grid of radius 0.98.
 
@@ -501,21 +502,18 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
     finds two distinct nodes mapped within 1e-10 of each other.  Both the
     evaluation and the tree grow with gridsize**2, hence the gridsize cap.
     """
-    if gridsize > 200:
-        raise ValueError("gridsize capped at 200 (quadratic pair cost)")
-    cache = getattr(f, "_uni_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(f, "_uni_cache", cache)
-    if gridsize in cache:
-        return cache[gridsize]
+    if not 2 <= gridsize <= 200:
+        raise ValueError("gridsize must lie in [2, 200] (quadratic pair cost above)")
+    memo = _VERDICTS.setdefault(f, {})
+    if gridsize in memo:
+        return memo[gridsize]
     radii = 0.98 * np.arange(1, gridsize + 1) / gridsize
     thetas = 2.0 * np.pi * np.arange(gridsize) / gridsize
     vals = f._polar_value(radii, thetas).ravel()
     pts = np.column_stack([vals.real, vals.imag])
     tree = cKDTree(pts)
     result = len(tree.query_pairs(1e-10)) == 0
-    cache[gridsize] = result
+    memo[gridsize] = result
     return result
 
 

@@ -183,6 +183,24 @@ class TestGrowthAndProfile:
 
 
 class TestRandomSuite:
+    def test_entries_are_the_verify_checks_member_by_member(self, capsys):
+        common = ["--c", "2", "--random", "3", "--seed", "3", "--samples", "300"]
+        _, suite = run_json(capsys, "random-suite", *common)
+        # verify lists its default targets first: two for thm2.3/2.4, one for thm2.5
+        thm23 = run_json(capsys, "verify", "thm2.3", *common)[1]["results"][2:]
+        thm24 = run_json(capsys, "verify", "thm2.4", *common)[1]["results"][2:]
+        thm25 = run_json(capsys, "verify", "thm2.5", *common)[1]["results"][1:]
+        results = suite["results"]
+        assert len(results) == 4 * 3
+        for i in range(3):
+            entries = results[4 * i : 4 * i + 4]
+            assert entries[0] == thm23[i] and entries[1] == thm24[i]
+            assert entries[3] == thm25[i]
+            membership = entries[2]
+            assert set(membership) == {"target", "passed", "membership"}
+            assert membership["target"] == thm25[i]["target"] == f"random[F,{i}]"
+            assert thm23[i]["target"] == f"random[F0,{i}]"
+
     def test_small_suite_passes_at_c2(self, capsys):
         code, payload = run_json(
             capsys, "random-suite", "--c", "2", "--random", "2", "--seed", "3",
@@ -210,6 +228,28 @@ class TestDeterminismAndIO:
         with pytest.raises(SystemExit) as exc:
             main(["norm", "--grid", "banana"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random-suite", "--random", "-2"],
+            ["verify", "all", "--random", "-1"],
+            ["verify", "thm2.1.ii", "--gallery", "fc", "--samples", "0"],
+            ["growth", "--samples", "-3"],
+            ["classify", "--gallery", "f2", "--samples", "1.5"],
+        ],
+    )
+    def test_count_flags_out_of_range_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_smallest_counts_accepted(self, capsys):
+        code, payload = run_json(capsys, "random-suite", "--random", "0")
+        assert code == 0 and payload["results"] == [] and payload["config"]["random"] == 0
+        code, out = run(capsys, "growth", "--samples", "1")
+        assert code == 0 and out.splitlines()[1:] == ["0,1,1,0,0"]
 
     def test_missing_function_exit_one(self, capsys):
         assert main(["norm"]) == 1

@@ -1,7 +1,11 @@
 """Hyperbolic norm search: sharp values, soundness, determinism."""
 
 import cmath
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -115,6 +119,46 @@ class TestHyperbolicNorm:
         g = random_member(ClassSpec(2.0), 31, 6)
         b = hyperbolic_norm(g, "pre_schwarzian")
         assert a == b
+
+    def test_memo_returns_the_same_estimate(self):
+        # theorem ids that search the same function share one search
+        f = random_member(ClassSpec(2.0, True), 11, 5)
+        before = dict(vars(f))
+        a = hyperbolic_norm(f, "schwarzian", grid=(64, 64))
+        assert hyperbolic_norm(f, "schwarzian", grid=(64, 64)) is a
+        # workers only chunks the grid, so it is not part of the key
+        assert hyperbolic_norm(f, "schwarzian", grid=(64, 64), workers=2) is a
+        assert hyperbolic_norm(f, "schwarzian", grid=(32, 32)) is not a
+        assert hyperbolic_norm(f, "pre_schwarzian", grid=(64, 64)) is not a
+        assert vars(f) == before
+
+    def test_memo_does_not_keep_functions_alive(self):
+        f = make_extremal_fc_star(1.5)
+        hyperbolic_norm(f, "pre_schwarzian", grid=(32, 32))
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
+    def test_concurrent_searches(self):
+        cs = (0.5, 1.0, 1.5, 2.0, 2.5)
+        expected = [hyperbolic_norm(make_extremal_fc_star(c), "schwarzian", grid=(24, 24))
+                    for c in cs]
+        fs = [make_extremal_fc_star(c) for c in cs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(hyperbolic_norm, f, "schwarzian", grid=(24, 24))
+                           for f in fs * 4]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 4
+        for f, est in zip(fs, expected):
+            again = hyperbolic_norm(f, "schwarzian", grid=(24, 24))
+            assert again == est
+            assert any(again is r for r in results)
 
     def test_search_unreliable_on_constant(self):
         with pytest.raises(SearchUnreliable):

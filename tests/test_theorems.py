@@ -340,6 +340,28 @@ class TestUnivalence:
         with pytest.raises(ValueError):
             univalence_bruteforce(make_gallery("identity"), 300)
 
+    @pytest.mark.parametrize("gridsize", [-1, 0, 1])
+    def test_bruteforce_grid_floor(self, gridsize):
+        # below two radii and two rays no pair is compared: a vacuous verdict
+        for f in (
+            make_gallery("koebe"),
+            Polynomial([0, 0, 1]),
+            random_member(ClassSpec(2.0, True), 3, 4),
+        ):
+            with pytest.raises(ValueError):
+                univalence_bruteforce(f, gridsize)
+
+    def test_bruteforce_smallest_grid(self):
+        assert univalence_bruteforce(make_gallery("koebe"), 2)
+        assert univalence_bruteforce(random_member(ClassSpec(2.0, True), 3, 4), 2)
+
+    def test_bruteforce_leaves_function_unmodified(self):
+        f = random_member(ClassSpec(2.0, True), 5, 4)
+        before = dict(vars(f))
+        assert univalence_bruteforce(f, 40)
+        assert univalence_bruteforce(f, 40)
+        assert vars(f) == before
+
 
 class TestEquivalenceSweep:
     def test_small_sweep_agrees(self):
