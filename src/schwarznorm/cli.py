@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("theorem", help="theorem id or 'all'")
         if name in ("norm", "profile"):
             p.add_argument("--which", choices=("pre_schwarzian", "schwarzian"))
-        _add_common(p, include_function=name != "growth")
+        _add_common(p, include_function=name not in ("growth", "random-suite"))
         p.set_defaults(func=func)
     return parser
 

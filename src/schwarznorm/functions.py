@@ -90,7 +90,8 @@ class ClassSpec:
 class SchurFunction:
     """Analytic self-map of the disk: a finite Blaschke product (possibly
     with zero factors, i.e. a unimodular rotation) or a constant of modulus
-    at most one."""
+    at most one.  s and s' come from one pass over the factors, for scalars
+    or arrays (``value_and_deriv``; ``value`` and ``deriv`` use it too)."""
 
     def __init__(self, kind: str, zeros=(), rotation: complex = 1.0, value: complex = 0.0):
         if kind not in ("constant", "blaschke"):
@@ -113,6 +114,8 @@ class SchurFunction:
             self.constant = None
             self.zeros = zeros
             self.rotation = rotation / abs(rotation)
+        # (a, conj(a), 1 - |a|^2) per zero, formed once for every evaluation
+        self._factors = tuple((a, a.conjugate(), 1.0 - abs(a) ** 2) for a in self.zeros)
         self._self_map_check()
 
     def _self_map_check(self, count: int = 1000):
@@ -132,53 +135,47 @@ class SchurFunction:
     def degree(self) -> int:
         return len(self.zeros)
 
-    def _is_scalar(self, z) -> bool:
-        return not (isinstance(z, np.ndarray) and z.ndim)
-
     def value(self, z):
-        if self._is_scalar(z):  # plain arithmetic: the norm-search hot path
-            zc = complex(z)
-            if self.kind == "constant":
-                return self.constant
-            out = self.rotation
-            for a in self.zeros:
-                out = out * (zc - a) / (1.0 - a.conjugate() * zc)
-            return out
-        zs = np.asarray(z, dtype=complex)
-        if self.kind == "constant":
-            return np.full_like(zs, self.constant)
-        out = np.full_like(zs, self.rotation)
-        for a in self.zeros:
-            out = out * (zs - a) / (1.0 - np.conj(a) * zs)
-        return out
+        return self._pass(z, False)[0]
 
     def deriv(self, z):
-        if self._is_scalar(z):
-            zc = complex(z)
-            if self.kind == "constant" or not self.zeros:
-                return 0j
-            factors = [(zc - a) / (1.0 - a.conjugate() * zc) for a in self.zeros]
+        return self._pass(z, True)[1]
+
+    def value_and_deriv(self, z):
+        """(s(z), s'(z)) from one pass over the Blaschke factors."""
+        return self._pass(z, True)
+
+    def _pass(self, z, need_deriv: bool):
+        # s' = rotation * sum_i (1-|a_i|^2)/(1-conj(a_i) z)^2 * prod_{j!=i} b_j,
+        # with b_j = (z-a_j)/(1-conj(a_j) z); each denominator is formed once
+        start = self.rotation if self.constant is None else self.constant
+        scalar = not (isinstance(z, np.ndarray) and z.ndim)  # plain complex: the hot path
+        z = complex(z) if scalar else np.asarray(z, dtype=complex)
+        out = start if scalar else np.full_like(z, start)
+        factors, terms = [], []
+        for a, ca, mass in self._factors:
+            den = 1.0 - ca * z
+            # (z - a) stays an unnamed temporary: from 256 KiB on, numpy
+            # multiplies into it in place, and naming it would swap the
+            # operands of a complex multiply that is not bitwise commutative
+            out = out * (z - a) / den
+            if need_deriv:
+                factors.append((z - a) / den)
+                terms.append(mass / den ** 2)
+        if not terms:
+            return out, (0j if scalar else np.zeros_like(z))
+        if scalar:
             total = 0j
-            for i, a in enumerate(self.zeros):
-                term = (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * zc) ** 2
-                for j, fj in enumerate(factors):
-                    if j != i:
-                        term *= fj
+            for i, term in enumerate(terms):
+                for fj in factors[:i] + factors[i + 1:]:
+                    term *= fj
                 total += term
-            return self.rotation * total
-        zs = np.asarray(z, dtype=complex)
-        if self.kind == "constant" or not self.zeros:
-            return np.zeros_like(zs)
-        factors = np.stack([(zs - a) / (1.0 - np.conj(a) * zs) for a in self.zeros])
-        dfactors = np.stack(
-            [(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zs) ** 2 for a in self.zeros]
-        )
-        ones = np.ones_like(zs)[None]
-        prefix = np.concatenate([ones, np.cumprod(factors, axis=0)], axis=0)
-        suffix = np.concatenate(
-            [ones, np.cumprod(factors[::-1], axis=0)], axis=0
-        )[::-1]
-        return self.rotation * np.sum(dfactors * prefix[:-1] * suffix[1:], axis=0)
+            return out, self.rotation * total
+        factors, terms = np.stack(factors), np.stack(terms)
+        ones = np.ones_like(z)[None]
+        prefix = np.concatenate([ones, np.cumprod(factors, axis=0)])
+        suffix = np.concatenate([ones, np.cumprod(factors[::-1], axis=0)])[::-1]
+        return out, self.rotation * np.sum(terms * prefix[:-1] * suffix[1:], axis=0)
 
     def jet(self, center: complex, order: int) -> TaylorJet:
         if self.kind == "constant":
@@ -637,7 +634,8 @@ class SubordinationMember(AnalyticFunction):
 
     With phi = s (variant "F") or phi(z) = z*s(z) (variant "F0"), the
     defining relation f''/f' = c*phi/(1 - z*phi) pins down exact rational
-    formulas for f''/f' and the Schwarzian; f' = exp(G) with
+    formulas for f''/f' and the Schwarzian, the latter from one
+    ``SchurFunction.value_and_deriv`` pass for s and s'; f' = exp(G) with
     G = integral of f''/f' along [0, z], and f integrates f'.  Membership
     holds by construction since omega = z*phi maps into the disk with
     omega(0) = 0.
@@ -665,41 +663,23 @@ class SubordinationMember(AnalyticFunction):
         s = self.schur.value(zs)
         return zs * s if self.variant == "F0" else s
 
-    def _phi_deriv(self, zs):
-        s = self.schur.value(zs)
-        ds = self.schur.deriv(zs)
-        return s + zs * ds if self.variant == "F0" else ds
-
+    # The hooks below take arrays or plain complex scalars: the Schur pass
+    # dispatches on its argument, so each serves as its own scalar hook.
     def _preschwarzian(self, zs):
         phi = self._phi(zs)
         return self.c * phi / (1.0 - zs * phi)
 
     def _schwarzian(self, zs):
-        phi = self._phi(zs)
-        dphi = self._phi_deriv(zs)
+        s, ds = self.schur.value_and_deriv(zs)
+        phi, dphi = (zs * s, s + zs * ds) if self.variant == "F0" else (s, ds)
         return (
             self.c
             * (dphi + (1.0 - self.c / 2.0) * phi * phi)
             / (1.0 - zs * phi) ** 2
         )
 
-    def _p_scalar(self, z):
-        s = self.schur.value(z)
-        phi = z * s if self.variant == "F0" else s
-        return self.c * phi / (1.0 - z * phi)
-
-    def _s_scalar(self, z):
-        s = self.schur.value(z)
-        ds = self.schur.deriv(z)
-        if self.variant == "F0":
-            phi, dphi = z * s, s + z * ds
-        else:
-            phi, dphi = s, ds
-        return (
-            self.c
-            * (dphi + (1.0 - self.c / 2.0) * phi * phi)
-            / (1.0 - z * phi) ** 2
-        )
+    _p_scalar = _preschwarzian
+    _s_scalar = _schwarzian
 
     def _value(self, zs):
         _, f = exp_path_integrals(self._preschwarzian, zs)

@@ -6,9 +6,11 @@ Poincare density of the disk.  The suprema of the sharp examples are
 typically attained only as r -> 1, so the search runs in three phases:
 
 1. a polar grid with radii cosine-clustered toward the boundary,
-2. derivative-free simplex refinement from the best grid cells, by an
-   in-module Nelder-Mead (``_nelder_mead``) that follows scipy.optimize's
-   non-adaptive method step for step on Python floats,
+2. derivative-free simplex refinement from the ``refine_starts`` best grid
+   cells (``_top_cells``: a partition, then a stable sort of only the cells
+   above the k-th value, so ties break in (r, theta) order as in a stable
+   argsort of the whole grid), by an in-module Nelder-Mead (``_nelder_mead``)
+   that follows scipy.optimize's non-adaptive method step for step on floats,
 3. Richardson extrapolation of the weighted modulus in (1 - r) along the
    best ray, to detect and quantify a boundary limit.
 
@@ -113,6 +115,19 @@ def radial_profile(
     return [(float(r), float(v)) for r, v in zip(rs, w) if not math.isnan(v)]
 
 
+def _top_cells(w: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k largest cells of ``w``, largest first, ties in
+    index order: the first k of ``np.argsort(-w, axis=None, kind="stable")``."""
+    neg = -w.ravel()
+    k = min(k, neg.size)
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(neg, k - 1)[k - 1]
+    above = np.flatnonzero(neg < kth)
+    above = above[np.argsort(neg[above], kind="stable")]
+    return np.concatenate([above, np.flatnonzero(neg == kth)[: k - above.size]])
+
+
 def _nelder_mead(
     func: Callable[[tuple[float, float]], float],
     simplex: list[tuple[float, float]],
@@ -137,20 +152,24 @@ def _nelder_mead(
     sim = list(simplex)
     fsim = [func(p) for p in sim]
 
-    def _sort():
-        order = sorted(range(3), key=fsim.__getitem__)
-        sim[:] = [sim[k] for k in order]
-        fsim[:] = [fsim[k] for k in order]
+    def _sort():  # stable insertion sort of the three vertices by value
+        if fsim[1] < fsim[0]:
+            sim[0], sim[1], fsim[0], fsim[1] = sim[1], sim[0], fsim[1], fsim[0]
+        if fsim[2] < fsim[1]:
+            sim[1], sim[2], fsim[1], fsim[2] = sim[2], sim[1], fsim[2], fsim[1]
+            if fsim[1] < fsim[0]:
+                sim[0], sim[1], fsim[0], fsim[1] = sim[1], sim[0], fsim[1], fsim[0]
 
     _sort()
     nit = 1
     while nit < maxiter:
         (x0, y0), (x1, y1), (x2, y2) = sim
         f0, f1, f2 = fsim
-        if all(
-            d <= xatol
-            for d in (abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0))
-        ) and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol:
+        if (
+            abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol
+            and abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol
+            and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol
+        ):
             break
         xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
         xr = (2 * xb - x2, 2 * yb - y2)
@@ -200,6 +219,8 @@ def hyperbolic_norm(
     nr, na = grid
     if nr < 2 or na < 1:
         raise ValueError("grid must have at least 2 radii and 1 angle")
+    if refine_starts < 0 or refine_maxiter < 1:
+        raise ValueError("refine_starts must be >= 0 and refine_maxiter >= 1")
     rs = _radial_grid(nr, r_cap)
     thetas = 2.0 * np.pi * np.arange(na) / na
     zgrid = rs[:, None] * np.exp(1j * thetas)[None, :]
@@ -247,9 +268,7 @@ def hyperbolic_norm(
             best[0], best[1], best[2] = val, r, theta
         return val
 
-    # Top grid cells (first occurrence = lexicographic (r, theta) order).
-    order = np.argsort(-w_clean, axis=None, kind="stable")
-    starts = [np.unravel_index(k, w.shape) for k in order[:refine_starts]]
+    starts = [np.unravel_index(k, w.shape) for k in _top_cells(w_clean, refine_starts)]
     for i, j in starts:
         _record(float(rs[i]), float(thetas[j]))
 

@@ -245,6 +245,25 @@ class TestDeterminismAndIO:
         assert exc.value.code == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--spec", '{"kind":"nope"}'],
+            ["--gallery", "koebe"],
+            ["--lam", "0.5"],
+        ],
+    )
+    def test_random_suite_rejects_function_flags(self, capsys, flags):
+        # random-suite has fixed targets; a function flag must not be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["random-suite", "--random", "1", *flags])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        # verify takes the same spec and fails on it
+        assert main(["verify", "thm2.3", "--spec", '{"kind":"nope"}']) == 1
+
     def test_smallest_counts_accepted(self, capsys):
         code, payload = run_json(capsys, "random-suite", "--random", "0")
         assert code == 0 and payload["results"] == [] and payload["config"]["random"] == 0

@@ -285,6 +285,122 @@ class TestRecentering:
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
+# The Schur and Schwarzian formulas from before s and s' shared one pass,
+# kept verbatim as the reference: the pass must reproduce every bit.
+def reference_schur_value(s, z):
+    if not (isinstance(z, np.ndarray) and z.ndim):
+        zc = complex(z)
+        if s.kind == "constant":
+            return s.constant
+        out = s.rotation
+        for a in s.zeros:
+            out = out * (zc - a) / (1.0 - a.conjugate() * zc)
+        return out
+    zs = np.asarray(z, dtype=complex)
+    if s.kind == "constant":
+        return np.full_like(zs, s.constant)
+    out = np.full_like(zs, s.rotation)
+    for a in s.zeros:
+        out = out * (zs - a) / (1.0 - np.conj(a) * zs)
+    return out
+
+
+def reference_schur_deriv(s, z):
+    if not (isinstance(z, np.ndarray) and z.ndim):
+        zc = complex(z)
+        if s.kind == "constant" or not s.zeros:
+            return 0j
+        factors = [(zc - a) / (1.0 - a.conjugate() * zc) for a in s.zeros]
+        total = 0j
+        for i, a in enumerate(s.zeros):
+            term = (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * zc) ** 2
+            for j, fj in enumerate(factors):
+                if j != i:
+                    term *= fj
+            total += term
+        return s.rotation * total
+    zs = np.asarray(z, dtype=complex)
+    if s.kind == "constant" or not s.zeros:
+        return np.zeros_like(zs)
+    factors = np.stack([(zs - a) / (1.0 - np.conj(a) * zs) for a in s.zeros])
+    dfactors = np.stack(
+        [(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zs) ** 2 for a in s.zeros]
+    )
+    ones = np.ones_like(zs)[None]
+    prefix = np.concatenate([ones, np.cumprod(factors, axis=0)], axis=0)
+    suffix = np.concatenate(
+        [ones, np.cumprod(factors[::-1], axis=0)], axis=0
+    )[::-1]
+    return s.rotation * np.sum(dfactors * prefix[:-1] * suffix[1:], axis=0)
+
+
+def reference_schwarzian(f, zs):
+    s = reference_schur_value(f.schur, zs)
+    phi = zs * s if f.variant == "F0" else s
+    ds = reference_schur_deriv(f.schur, zs)
+    dphi = s + zs * ds if f.variant == "F0" else ds
+    return f.c * (dphi + (1.0 - f.c / 2.0) * phi * phi) / (1.0 - zs * phi) ** 2
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+BIT_SCHURS = {
+    "constant_zero": lambda: SchurFunction.constant_map(0.0),
+    "constant": lambda: SchurFunction.constant_map(0.4 - 0.7j),
+    "constant_unimodular": lambda: SchurFunction.constant_map(1j),
+    "rotation_only": lambda: SchurFunction.blaschke([], rotation=np.exp(0.7j)),
+    "zero_at_origin": lambda: SchurFunction.blaschke([0j, 0.5 - 0.2j], rotation=-1.0),
+    **{f"degree_{d}": (lambda d=d: random_schur(300 + d, d)) for d in range(1, 9)},
+}
+
+
+def bit_points(count, seed=3):
+    rng = np.random.default_rng(seed)
+    radii, angles = 0.995 * np.sqrt(rng.uniform(size=count)), rng.uniform(size=count)
+    return radii * np.exp(2j * np.pi * angles)
+
+
+class TestOnePassBitIdentity:
+    """``value_and_deriv``, ``value`` and ``deriv`` give the bits of the
+    separate loops, below and above numpy's 256 KiB temporary-elision size
+    (1,000 and 20,000 points), and so do the Schwarzian hooks."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
+    def test_scalars(self, name):
+        s = BIT_SCHURS[name]()
+        for z in [0j, 0.3, -0.2j, *bit_points(200).tolist()]:
+            v, d = s.value_and_deriv(z)
+            want_v, want_d = reference_schur_value(s, z), reference_schur_deriv(s, z)
+            assert type(v) is complex and type(d) is complex
+            assert same_bits(v, want_v) and same_bits(d, want_d), z
+            assert same_bits(s.value(z), want_v) and same_bits(s.deriv(z), want_d)
+
+    @pytest.mark.parametrize("count", [1000, 20000])
+    @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
+    def test_arrays(self, name, count):
+        s = BIT_SCHURS[name]()
+        zs = bit_points(count)
+        v, d = s.value_and_deriv(zs)
+        want_v, want_d = reference_schur_value(s, zs), reference_schur_deriv(s, zs)
+        assert same_bits(v, want_v) and same_bits(d, want_d)
+        assert same_bits(s.value(zs), want_v) and same_bits(s.deriv(zs), want_d)
+
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_schwarzian_hooks_on_the_search_grid(self, variant):
+        from schwarznorm.norms import R_CAP, _radial_grid
+
+        zs = _radial_grid(256, R_CAP)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)
+        for degree in range(9):
+            f = random_member(ClassSpec(1.5, variant == "F0"), degree, degree)
+            assert same_bits(f._schwarzian(zs), reference_schwarzian(f, zs)), degree
+            for z in zs[::37, ::41].ravel().tolist():
+                assert same_bits(f.schwarzian(z), reference_schwarzian(f, z)), (degree, z)
+
+
 def polar_grid(gridsize):
     """The nodes of ``univalence_bruteforce``: radii and angles."""
     radii = 0.98 * np.arange(1, gridsize + 1) / gridsize

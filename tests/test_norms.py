@@ -27,6 +27,8 @@ from schwarznorm.norms import (
     R_CAP,
     _nelder_mead,
     _radial_grid,
+    _top_cells,
+    _weighted_array,
     hyperbolic_norm,
     radial_profile,
     weighted_modulus,
@@ -177,6 +179,52 @@ class TestHyperbolicNorm:
         ]
         for f in univalent:
             assert hyperbolic_norm(f, "schwarzian").value <= 6.0 + 1e-6
+
+
+def argsort_starts(w, k):
+    """The reference selection: the first k of a stable argsort of -w."""
+    return np.argsort(-w, axis=None, kind="stable")[:k]
+
+
+def tied_grids():
+    rng = np.random.default_rng(17)
+    ties = rng.integers(0, 4, size=(16, 12)).astype(float)  # exact ties everywhere
+    infinities = ties.copy()
+    infinities[3, 4] = infinities[0, 0] = infinities[9, 2] = np.inf
+    infinities[1] = -np.inf  # singular cells, as the search masks them
+    infinities[:, 7] = -np.inf
+    signed_zeros = np.where(rng.random((16, 12)) < 0.5, 0.0, -0.0)
+    column = rng.normal(size=(64, 64))
+    column[:, 5] = column.max()  # a tied column holds the top 64 cells
+    f = random_member(ClassSpec(2.0, True), 44, 8)
+    zs = _radial_grid(64, R_CAP)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    search = np.nan_to_num(_weighted_array(f, zs, 2), nan=-np.inf)
+    return {"ties": ties, "infinities": infinities, "signed_zeros": signed_zeros,
+            "column": column, "search": search}
+
+
+class TestRefineStarts:
+    @pytest.mark.parametrize("name", sorted(tied_grids()))
+    def test_partition_equals_stable_argsort(self, name):
+        w = tied_grids()[name]
+        for k in (0, 1, 8, w.size, w.size + 5):
+            got = _top_cells(w, k)
+            assert got.dtype == np.intp
+            assert got.tolist() == argsort_starts(w, k).tolist(), k
+
+    @pytest.mark.parametrize(
+        "options", [{"refine_starts": -1}, {"refine_maxiter": 0}, {"refine_maxiter": -2}]
+    )
+    def test_refine_options_out_of_range(self, options):
+        # a negative count would slice the start order from its end, and
+        # scipy's iteration count cannot read less than 1
+        with pytest.raises(ValueError):
+            hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(4, 4), **options)
+
+    def test_one_iteration_per_start(self):
+        est = hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(8, 8),
+                              refine_starts=3, refine_maxiter=1)
+        assert est.refinement_iterations == 3
 
 
 class TestRadialProfile:
