@@ -369,7 +369,7 @@ def _add_common(p: argparse.ArgumentParser, include_function: bool = True):
     p.add_argument("--grid", type=_parse_grid, default=(256, 256), metavar="RxA")
     p.add_argument("--random", type=_int_at_least(0), default=0, metavar="N")
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_int_at_least(1), default=None)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

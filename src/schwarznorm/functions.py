@@ -17,6 +17,12 @@ are evaluated from exact rational expressions everywhere in the disk; f and
 f' themselves are recovered by path integration along [0, z].  Values of
 every function are vectorized over numpy arrays.
 
+Each kind has one hook per quantity, and the P_f and S_f hooks take an
+ndarray or a plain complex: a scalar query runs the same formula on the
+scalar.  Kinds built from numpy operations (polynomials, compositions,
+perturbations) promote a scalar to a 0-d array first, which keeps numpy's
+complex arithmetic and so its last bits.
+
 All values are immutable after construction; evaluation is pure and safe to
 call concurrently.
 """
@@ -58,6 +64,18 @@ def _prep(z) -> tuple[np.ndarray, bool]:
     if arr.size and np.max(np.abs(arr)) >= 1.0:
         raise DomainError("evaluation outside the open unit disk")
     return arr, arr.ndim == 0
+
+
+def _scalar_query(hook, z) -> complex:
+    """``hook`` at one point given as a scalar, as a plain complex; NaN, the
+    hooks' mark of a zero of f', raises :class:`DivisionBySingular`."""
+    zc = complex(z)
+    if abs(zc) >= 1.0:
+        raise DomainError("evaluation outside the open unit disk")
+    val = complex(hook(zc))
+    if val != val:  # nan
+        raise DivisionBySingular(f"f' vanishes at {z}")
+    return val
 
 
 def _id_jet(z: complex, order: int) -> TaylorJet:
@@ -226,8 +244,11 @@ class AnalyticFunction:
     Subclasses implement the array-level hooks ``_value``, ``_deriv``,
     ``_preschwarzian``, ``_schwarzian`` (the latter two returning NaN at
     points where f' vanishes) and ``jet``; path-integrated kinds also
-    override ``_polar_value`` and ``_value_and_deriv``.  The public
-    accessors accept scalars or arrays, enforce |z| < 1 and raise
+    override ``_polar_value`` and ``_value_and_deriv``.  ``_preschwarzian``
+    and ``_schwarzian`` take an ndarray or a plain complex, and serve scalar
+    queries too; kinds built from numpy operations promote a plain complex
+    to a 0-d array on entry, to keep numpy's bits.  The public accessors
+    accept scalars or arrays, enforce |z| < 1 and raise
     :class:`DivisionBySingular` for scalar queries at singular points.
     """
 
@@ -272,36 +293,14 @@ class AnalyticFunction:
         return complex(out[()]) if scalar else out
 
     def preschwarzian(self, z):
-        if not (isinstance(z, np.ndarray) and z.ndim):
-            zc = complex(z)
-            if abs(zc) >= 1.0:
-                raise DomainError("evaluation outside the open unit disk")
-            val = self._p_scalar(zc)
-            if val != val:  # nan
-                raise DivisionBySingular(f"f' vanishes at {z}")
-            return val
-        arr, _ = _prep(z)
-        return self._preschwarzian(arr)
+        if isinstance(z, np.ndarray) and z.ndim:
+            return self._preschwarzian(_prep(z)[0])
+        return _scalar_query(self._preschwarzian, z)
 
     def schwarzian(self, z):
-        if not (isinstance(z, np.ndarray) and z.ndim):
-            zc = complex(z)
-            if abs(zc) >= 1.0:
-                raise DomainError("evaluation outside the open unit disk")
-            val = self._s_scalar(zc)
-            if val != val:
-                raise DivisionBySingular(f"f' vanishes at {z}")
-            return val
-        arr, _ = _prep(z)
-        return self._schwarzian(arr)
-
-    # scalar hooks; subclasses on the norm-search hot path override these
-    # with plain complex arithmetic
-    def _p_scalar(self, z: complex) -> complex:
-        return complex(self._preschwarzian(np.asarray(z, dtype=complex))[()])
-
-    def _s_scalar(self, z: complex) -> complex:
-        return complex(self._schwarzian(np.asarray(z, dtype=complex))[()])
+        if isinstance(z, np.ndarray) and z.ndim:
+            return self._schwarzian(_prep(z)[0])
+        return _scalar_query(self._schwarzian, z)
 
     def jet(self, z: complex, order: int) -> TaylorJet:
         raise NotImplementedError
@@ -329,11 +328,6 @@ class Identity(AnalyticFunction):
 
     _schwarzian = _preschwarzian
 
-    def _p_scalar(self, z):
-        return 0j
-
-    _s_scalar = _p_scalar
-
     def jet(self, z, order):
         return _id_jet(complex(z), order)
 
@@ -358,12 +352,6 @@ class Koebe(AnalyticFunction):
 
     def _schwarzian(self, zs):
         return -6.0 / (1.0 - zs * zs) ** 2
-
-    def _p_scalar(self, z):
-        return (4.0 + 2.0 * z) / (1.0 - z * z)
-
-    def _s_scalar(self, z):
-        return -6.0 / (1.0 - z * z) ** 2
 
     def jet(self, z, order):
         z = complex(z)
@@ -417,15 +405,6 @@ class Mobius(AnalyticFunction):
     def _schwarzian(self, zs):
         return np.zeros_like(zs)
 
-    def _p_scalar(self, z):
-        den = self.c * z + self.d
-        if abs(den) <= SINGULAR_TOL:
-            raise DivisionBySingular("Moebius pole hit inside the disk")
-        return -2.0 * self.c / den
-
-    def _s_scalar(self, z):
-        return 0j
-
     def jet(self, z, order):
         z = complex(z)
         num = jet_linear(self.a * z + self.b, self.a, z, order)
@@ -460,6 +439,7 @@ class Polynomial(AnalyticFunction):
         )
 
     def _horner(self, zs, coeffs):
+        zs = np.asarray(zs, dtype=complex)
         acc = np.zeros_like(zs)
         for c in reversed(coeffs):
             acc = acc * zs + c
@@ -533,12 +513,6 @@ class ExtremalFc(AnalyticFunction):
     def _schwarzian(self, zs):
         return (self.c * (2.0 - self.c) / 2.0) / (1.0 - zs) ** 2
 
-    def _p_scalar(self, z):
-        return self.c / (1.0 - z)
-
-    def _s_scalar(self, z):
-        return (self.c * (2.0 - self.c) / 2.0) / (1.0 - z) ** 2
-
     def jet(self, z, order):
         z = complex(z)
         base = jet_linear(1.0 - z, -1.0, z, order)
@@ -586,13 +560,6 @@ class ExtremalFcLambda(AnalyticFunction):
 
     def _schwarzian(self, zs):
         lzz = self.lam * zs * zs
-        return self.c * self.lam * (1.0 + (1.0 - self.c / 2.0) * lzz) / (1.0 - lzz) ** 2
-
-    def _p_scalar(self, z):
-        return self.c * self.lam * z / (1.0 - self.lam * z * z)
-
-    def _s_scalar(self, z):
-        lzz = self.lam * z * z
         return self.c * self.lam * (1.0 + (1.0 - self.c / 2.0) * lzz) / (1.0 - lzz) ** 2
 
     def _deriv_jet(self, z, order):
@@ -663,8 +630,8 @@ class SubordinationMember(AnalyticFunction):
         s = self.schur.value(zs)
         return zs * s if self.variant == "F0" else s
 
-    # The hooks below take arrays or plain complex scalars: the Schur pass
-    # dispatches on its argument, so each serves as its own scalar hook.
+    # A plain complex stays a plain complex in the hooks below: the Schur
+    # pass dispatches on its argument.
     def _preschwarzian(self, zs):
         phi = self._phi(zs)
         return self.c * phi / (1.0 - zs * phi)
@@ -677,9 +644,6 @@ class SubordinationMember(AnalyticFunction):
             * (dphi + (1.0 - self.c / 2.0) * phi * phi)
             / (1.0 - zs * phi) ** 2
         )
-
-    _p_scalar = _preschwarzian
-    _s_scalar = _schwarzian
 
     def _value(self, zs):
         _, f = exp_path_integrals(self._preschwarzian, zs)
@@ -701,19 +665,17 @@ class SubordinationMember(AnalyticFunction):
     def origin_jet(self, order: int = _ORIGIN_ORDER) -> TaylorJet:
         if self._origin is None or self._origin.order < order:
             work = max(order, _ORIGIN_ORDER)
-            sj = self.schur.jet(0j, work)
-            phi = jet_mul(_id_jet(0j, work), sj) if self.variant == "F0" else sj
-            one_minus = jet_add(
-                _one_jet(0j, work), jet_scale(jet_mul(_id_jet(0j, work), phi), -1.0)
-            )
-            p = jet_scale(jet_div(phi, one_minus), self.c)
-            fp = jet_exp(jet_integrate(p).truncated(work))
+            fp = jet_exp(jet_integrate(self._p_jet(0j, work)).truncated(work))
             self._origin = jet_integrate(fp).truncated(work)
         return self._origin.truncated(order)
 
-    def _phi_jet(self, z: complex, order: int) -> TaylorJet:
-        sj = self.schur.jet(z, order)
-        return jet_mul(_id_jet(z, order), sj) if self.variant == "F0" else sj
+    def _p_jet(self, z: complex, order: int) -> TaylorJet:
+        """Jet of f''/f' = c*phi/(1 - z*phi) at z."""
+        zj, phi = _id_jet(z, order), self.schur.jet(z, order)
+        if self.variant == "F0":
+            phi = jet_mul(zj, phi)
+        one_minus = jet_add(_one_jet(z, order), jet_scale(jet_mul(zj, phi), -1.0))
+        return jet_scale(jet_div(phi, one_minus), self.c)
 
     def jet(self, z, order):
         z = complex(z)
@@ -721,11 +683,7 @@ class SubordinationMember(AnalyticFunction):
             return self.origin_jet(order)
         if order == 0:
             return TaylorJet(z, (self.value(z),))
-        phi = self._phi_jet(z, order)
-        one_minus = jet_add(
-            _one_jet(z, order), jet_scale(jet_mul(_id_jet(z, order), phi), -1.0)
-        )
-        p = jet_scale(jet_div(phi, one_minus), self.c)
+        p = self._p_jet(z, order)
         g, f0 = exp_path_integrals(self._preschwarzian, np.array([z]))
         u = [np.exp(complex(g[0]))]  # f' and its derivatives via u' = p u
         for m in range(order - 1):
@@ -783,12 +741,14 @@ class Composition(AnalyticFunction):
         return self.outer._deriv(iv) * self.inner._deriv(zs)
 
     def _preschwarzian(self, zs):
+        zs = np.asarray(zs, dtype=complex)
         iv = self._inner_vals(zs)
         return self.outer._preschwarzian(iv) * self.inner._deriv(
             zs
         ) + self.inner._preschwarzian(zs)
 
     def _schwarzian(self, zs):
+        zs = np.asarray(zs, dtype=complex)
         iv = self._inner_vals(zs)
         return self.outer._schwarzian(iv) * self.inner._deriv(
             zs
@@ -837,11 +797,13 @@ class QuadraticPerturbation(AnalyticFunction):
         return fp, pb, gp
 
     def _preschwarzian(self, zs):
+        zs = np.asarray(zs, dtype=complex)
         fp, pb, gp = self._parts(zs)
         with np.errstate(invalid="ignore", divide="ignore"):
             return (pb * fp + 2.0 * self.delta) / gp
 
     def _schwarzian(self, zs):
+        zs = np.asarray(zs, dtype=complex)
         fp, pb, gp = self._parts(zs)
         sb = self.base._schwarzian(zs)
         gpp = pb * fp + 2.0 * self.delta

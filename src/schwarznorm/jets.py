@@ -74,22 +74,6 @@ class TaylorJet:
             return self
         return TaylorJet(self.center, self.coeffs + (0j,) * (order - self.order))
 
-    # Operator sugar; the jet_* functions below are the primary API.
-    def __add__(self, other):
-        return jet_add(self, other)
-
-    def __sub__(self, other):
-        return jet_add(self, jet_scale(other, -1.0))
-
-    def __mul__(self, other):
-        return jet_mul(self, other)
-
-    def __truediv__(self, other):
-        return jet_div(self, other)
-
-    def __neg__(self):
-        return jet_scale(self, -1.0)
-
 
 def jet_constant(value: complex, order: int = 0, center: complex = 0j) -> TaylorJet:
     return TaylorJet(center, (complex(value),) + (0j,) * order)

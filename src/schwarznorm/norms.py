@@ -219,8 +219,8 @@ def hyperbolic_norm(
     nr, na = grid
     if nr < 2 or na < 1:
         raise ValueError("grid must have at least 2 radii and 1 angle")
-    if refine_starts < 0 or refine_maxiter < 1:
-        raise ValueError("refine_starts must be >= 0 and refine_maxiter >= 1")
+    if refine_starts < 1 or refine_maxiter < 1:
+        raise ValueError("refine_starts and refine_maxiter must be >= 1")
     rs = _radial_grid(nr, r_cap)
     thetas = 2.0 * np.pi * np.arange(na) / na
     zgrid = rs[:, None] * np.exp(1j * thetas)[None, :]

@@ -237,6 +237,8 @@ class TestDeterminismAndIO:
             ["verify", "thm2.1.ii", "--gallery", "fc", "--samples", "0"],
             ["growth", "--samples", "-3"],
             ["classify", "--gallery", "f2", "--samples", "1.5"],
+            ["norm", "--gallery", "koebe", "--workers", "0"],
+            ["norm", "--gallery", "koebe", "--workers", "-3"],
         ],
     )
     def test_count_flags_out_of_range_exit_one(self, capsys, argv):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from schwarznorm.errors import DomainError
+from schwarznorm.errors import SINGULAR_TOL, DivisionBySingular, DomainError
 from schwarznorm.functions import (
     ClassSpec,
     Composition,
@@ -399,6 +399,105 @@ class TestOnePassBitIdentity:
             assert same_bits(f._schwarzian(zs), reference_schwarzian(f, zs)), degree
             for z in zs[::37, ::41].ravel().tolist():
                 assert same_bits(f.schwarzian(z), reference_schwarzian(f, z)), (degree, z)
+
+
+# The per-kind scalar formulas from before the P_f and S_f hooks served
+# scalar queries, kept verbatim as the reference; kinds without a copy went
+# through their hook on a 0-d array.
+def reference_p_scalar(f, z):
+    if isinstance(f, Identity):
+        return 0j
+    if isinstance(f, Koebe):
+        return (4.0 + 2.0 * z) / (1.0 - z * z)
+    if isinstance(f, Mobius):
+        den = f.c * z + f.d
+        if abs(den) <= SINGULAR_TOL:
+            raise DivisionBySingular("Moebius pole hit inside the disk")
+        return -2.0 * f.c / den
+    if isinstance(f, ExtremalFc):
+        return f.c / (1.0 - z)
+    if isinstance(f, ExtremalFcLambda):
+        return f.c * f.lam * z / (1.0 - f.lam * z * z)
+    if isinstance(f, SubordinationMember):
+        s = reference_schur_value(f.schur, z)
+        phi = z * s if f.variant == "F0" else s
+        return f.c * phi / (1.0 - z * phi)
+    return complex(f._preschwarzian(np.asarray(z, dtype=complex))[()])
+
+
+def reference_s_scalar(f, z):
+    if isinstance(f, (Identity, Mobius)):
+        return 0j
+    if isinstance(f, Koebe):
+        return -6.0 / (1.0 - z * z) ** 2
+    if isinstance(f, ExtremalFc):
+        return (f.c * (2.0 - f.c) / 2.0) / (1.0 - z) ** 2
+    if isinstance(f, ExtremalFcLambda):
+        lzz = f.lam * z * z
+        return f.c * f.lam * (1.0 + (1.0 - f.c / 2.0) * lzz) / (1.0 - lzz) ** 2
+    if isinstance(f, SubordinationMember):
+        return reference_schwarzian(f, z)
+    return complex(f._schwarzian(np.asarray(z, dtype=complex))[()])
+
+
+def reference_query(formula, f, z):
+    """The former public scalar route around a reference formula."""
+    val = formula(f, complex(z))
+    if val != val:
+        raise DivisionBySingular(f"f' vanishes at {z}")
+    return val
+
+
+SCALAR_KINDS = {
+    "identity": Identity,
+    "koebe": Koebe,
+    "half_plane": half_plane,
+    "mobius": lambda: Mobius(1.0, 0.3, 0.5j, 1.0),
+    "polynomial": lambda: Polynomial([0, 1, 0.4 - 0.1j, 0.2j]),
+    "fc_log_limit": lambda: make_extremal_fc(1.0),
+    "fc": lambda: make_extremal_fc(2.5),
+    "fc_lambda": lambda: make_extremal_fc_lambda(2.2, 1j),
+    "fc_star": lambda: make_extremal_fc_star(3.0),
+    "member_F": lambda: random_member(ClassSpec(2.0), 4, 4),
+    "member_F0": lambda: random_member(ClassSpec(1.5, True), 6, 6),
+    "composition_koebe": lambda: Composition(Koebe(), Mobius(0.5, 0.0, 0.0, 1.0)),
+    "composition_polynomial": lambda: Composition(Polynomial([0, 1, 0.3]), make_extremal_fc(1.2)),
+    "composition_member": lambda: Composition(half_plane(), random_member(ClassSpec(1.0), 3, 2)),
+    "perturbed_fc": lambda: QuadraticPerturbation(make_extremal_fc(1.3), 0.2 - 0.1j),
+    "perturbed_koebe": lambda: QuadraticPerturbation(Koebe(), 0.5),
+    "perturbed_member": lambda: QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.2 - 0.1j),
+}
+
+
+class TestScalarRoute:
+    """A scalar query of P_f or S_f runs the kind's one hook on a plain
+    complex and gives the bits of the former scalar formulas."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_KINDS))
+    def test_same_bits_as_the_scalar_formulas(self, name):
+        f = SCALAR_KINDS[name]()
+        for z in [0j, 0.3, -0.5, -0.2j, *bit_points(300).tolist()]:
+            for got, want in ((f.preschwarzian(z), reference_query(reference_p_scalar, f, z)),
+                              (f.schwarzian(z), reference_query(reference_s_scalar, f, z))):
+                assert type(got) is complex
+                assert same_bits(got, want), (name, z)
+
+    @pytest.mark.parametrize(
+        "f, z, quantities",
+        [
+            (Mobius(1.0, 0.0, 2.0, 1.0), -0.5, ["p"]),  # pole inside the disk; S_f = 0
+            (Polynomial([0, 0, 1]), 0j, ["p", "s"]),  # f' = 2z vanishes
+        ],
+    )
+    def test_singular_points_raise(self, f, z, quantities):
+        routes = {"p": (f.preschwarzian, reference_p_scalar),
+                  "s": (f.schwarzian, reference_s_scalar)}
+        for q in quantities:
+            query, formula = routes[q]
+            with pytest.raises(DivisionBySingular):
+                reference_query(formula, f, z)
+            with pytest.raises(DivisionBySingular):
+                query(z)
 
 
 def polar_grid(gridsize):

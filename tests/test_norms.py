@@ -213,11 +213,13 @@ class TestRefineStarts:
             assert got.tolist() == argsort_starts(w, k).tolist(), k
 
     @pytest.mark.parametrize(
-        "options", [{"refine_starts": -1}, {"refine_maxiter": 0}, {"refine_maxiter": -2}]
+        "options",
+        [{"refine_starts": -1}, {"refine_starts": 0}, {"refine_maxiter": 0},
+         {"refine_maxiter": -2}],
     )
     def test_refine_options_out_of_range(self, options):
-        # a negative count would slice the start order from its end, and
-        # scipy's iteration count cannot read less than 1
+        # a negative count would slice the start order from its end, no start
+        # would report -inf, and scipy's iteration count cannot read less than 1
         with pytest.raises(ValueError):
             hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(4, 4), **options)
 
