@@ -12,10 +12,11 @@ Two kinds of integrals show up:
   length, which keeps the rule at machine precision.  There are two
   routes:
 
-  - scattered points (``segment_integral``, ``exp_path_integrals``): each
-    point z is integrated on its own, over dyadically graded panels of
-    [0, z] accumulating toward the endpoint.  Every ``value``, ``deriv``
-    and ``jet`` query takes this route.
+  - scattered points (``exp_path_integrals``, the only route for them):
+    each point z is integrated on its own, over dyadically graded panels
+    of [0, z] accumulating toward the endpoint.  Every ``value``,
+    ``deriv`` and ``jet`` query takes this route; a plain integral of an
+    integrand is its G output with ``need_outer=False``.
   - polar grids (``ray_path_integrals``): each ray is integrated once,
     with one panel between neighbouring radii, and the values at all radii
     are cumulative sums of the panel integrals.  The polar-grid value hook
@@ -55,21 +56,6 @@ def _panel_breaks(max_abs: float) -> np.ndarray:
     depth = max(6, int(np.ceil(np.log2(1.0 / max(1e-15, 1.0 - max_abs)))) + 2)
     breaks = [0.0] + [1.0 - 2.0 ** (-m) for m in range(1, depth)] + [1.0]
     return np.array(breaks)
-
-
-def segment_integral(func: Callable[[np.ndarray], np.ndarray], zs: np.ndarray) -> np.ndarray:
-    """Integral of ``func`` along [0, z] for every z in ``zs``."""
-    zs = np.asarray(zs, dtype=complex)
-    flat = zs.ravel()
-    out = np.zeros_like(flat)
-    if flat.size:
-        breaks = _panel_breaks(float(np.max(np.abs(flat))))
-        for ta, tb in zip(breaks[:-1], breaks[1:]):
-            half = 0.5 * (tb - ta)
-            nodes = ta + half * (_GL_X + 1.0)
-            w = flat[:, None] * nodes[None, :]
-            out += (half * flat) * (func(w) @ _GL_W)
-    return out.reshape(zs.shape)
 
 
 def exp_path_integrals(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import exp_path_integrals, ray_path_integrals, segment_integral
+from ._integrate import exp_path_integrals, ray_path_integrals
 from ._sampling import disk_samples
 from .errors import DivisionBySingular, DomainError, SINGULAR_TOL
 from .jets import (
@@ -44,6 +44,7 @@ from .jets import (
     jet_compose,
     jet_div,
     jet_exp,
+    jet_identity,
     jet_integrate,
     jet_linear,
     jet_log,
@@ -78,16 +79,6 @@ def _scalar_query(hook, z) -> complex:
     return val
 
 
-def _id_jet(z: complex, order: int) -> TaylorJet:
-    if order == 0:
-        return TaylorJet(z, (complex(z),))
-    return jet_linear(z, 1.0, center=z, order=order)
-
-
-def _one_jet(z: complex, order: int) -> TaylorJet:
-    return jet_constant(1.0, order, z)
-
-
 # ---------------------------------------------------------------------------
 # Class parameters and Schur functions
 
@@ -119,7 +110,9 @@ class SchurFunction:
             value = complex(value)
             if abs(value) > 1.0 + 1e-12:
                 raise ValueError("constant Schur value must have modulus <= 1")
-            self.constant = value
+            # s and every jet of it start from one leading factor: this
+            # constant, or a Blaschke product's rotation
+            self.constant = self._lead = value
             self.zeros: tuple[complex, ...] = ()
             self.rotation = 1.0 + 0j
         else:
@@ -131,7 +124,7 @@ class SchurFunction:
                 raise ValueError("rotation factor must be unimodular")
             self.constant = None
             self.zeros = zeros
-            self.rotation = rotation / abs(rotation)
+            self.rotation = self._lead = rotation / abs(rotation)
         # (a, conj(a), 1 - |a|^2) per zero, formed once for every evaluation
         self._factors = tuple((a, a.conjugate(), 1.0 - abs(a) ** 2) for a in self.zeros)
         self._self_map_check()
@@ -149,10 +142,6 @@ class SchurFunction:
     def blaschke(zeros, rotation: complex = 1.0) -> "SchurFunction":
         return SchurFunction("blaschke", zeros=zeros, rotation=rotation)
 
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
-
     def value(self, z):
         return self._pass(z, False)[0]
 
@@ -166,10 +155,9 @@ class SchurFunction:
     def _pass(self, z, need_deriv: bool):
         # s' = rotation * sum_i (1-|a_i|^2)/(1-conj(a_i) z)^2 * prod_{j!=i} b_j,
         # with b_j = (z-a_j)/(1-conj(a_j) z); each denominator is formed once
-        start = self.rotation if self.constant is None else self.constant
         scalar = not (isinstance(z, np.ndarray) and z.ndim)  # plain complex: the hot path
         z = complex(z) if scalar else np.asarray(z, dtype=complex)
-        out = start if scalar else np.full_like(z, start)
+        out = self._lead if scalar else np.full_like(z, self._lead)
         factors, terms = [], []
         for a, ca, mass in self._factors:
             den = 1.0 - ca * z
@@ -196,9 +184,7 @@ class SchurFunction:
         return out, self.rotation * np.sum(terms * prefix[:-1] * suffix[1:], axis=0)
 
     def jet(self, center: complex, order: int) -> TaylorJet:
-        if self.kind == "constant":
-            return jet_constant(self.constant, order, center)
-        out = jet_constant(self.rotation, order, center)
+        out = jet_constant(self._lead, order, center)
         for a in self.zeros:
             num = jet_linear(center - a, 1.0, center, order)
             den = jet_linear(1.0 - np.conj(a) * center, -np.conj(a), center, order)
@@ -329,7 +315,7 @@ class Identity(AnalyticFunction):
     _schwarzian = _preschwarzian
 
     def jet(self, z, order):
-        return _id_jet(complex(z), order)
+        return jet_identity(complex(z), order)
 
     def descriptor(self):
         return {"kind": "identity"}
@@ -356,7 +342,7 @@ class Koebe(AnalyticFunction):
     def jet(self, z, order):
         z = complex(z)
         m = jet_linear(1.0 - z, -1.0, z, order)
-        return jet_div(_id_jet(z, order), jet_mul(m, m))
+        return jet_div(jet_identity(z, order), jet_mul(m, m))
 
     def descriptor(self):
         return {"kind": "koebe"}
@@ -403,6 +389,7 @@ class Mobius(AnalyticFunction):
         return -2.0 * self.c / self._den(zs)
 
     def _schwarzian(self, zs):
+        self._den(zs)  # a pole inside the disk raises, as it does for P_f
         return np.zeros_like(zs)
 
     def jet(self, z, order):
@@ -457,16 +444,18 @@ class Polynomial(AnalyticFunction):
     def _deriv(self, zs):
         return self._horner(zs, self._dcoeffs(1))
 
-    def _preschwarzian(self, zs):
+    def _masked_deriv(self, zs):
+        """f', with NaN where it vanishes."""
         fp = self._horner(zs, self._dcoeffs(1))
-        out = np.where(np.abs(fp) <= SINGULAR_TOL, np.nan + 0j, fp)
+        return np.where(np.abs(fp) <= SINGULAR_TOL, np.nan + 0j, fp)
+
+    def _preschwarzian(self, zs):
+        fp = self._masked_deriv(zs)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return self._horner(zs, self._dcoeffs(2)) / out
+            return self._horner(zs, self._dcoeffs(2)) / fp
 
     def _schwarzian(self, zs):
-        fp = self._horner(zs, self._dcoeffs(1))
-        bad = np.abs(fp) <= SINGULAR_TOL
-        fp = np.where(bad, np.nan + 0j, fp)
+        fp = self._masked_deriv(zs)
         with np.errstate(invalid="ignore", divide="ignore"):
             p = self._horner(zs, self._dcoeffs(2)) / fp
             return self._horner(zs, self._dcoeffs(3)) / fp - 1.5 * p * p
@@ -546,7 +535,8 @@ class ExtremalFcLambda(AnalyticFunction):
         self.is_class_a = True
 
     def _value(self, zs):
-        return segment_integral(self._deriv, zs)
+        f, _ = exp_path_integrals(self._deriv, zs, need_outer=False)  # G: f' integrated
+        return f
 
     def _polar_value(self, radii, thetas):
         f, _ = ray_path_integrals(self._deriv, radii, thetas, need_outer=False)
@@ -622,10 +612,6 @@ class SubordinationMember(AnalyticFunction):
         self.seed = seed
         self._origin: TaylorJet | None = None
 
-    @property
-    def class_spec(self) -> ClassSpec:
-        return ClassSpec(self.c, self.variant == "F0")
-
     def _phi(self, zs):
         s = self.schur.value(zs)
         return zs * s if self.variant == "F0" else s
@@ -671,10 +657,10 @@ class SubordinationMember(AnalyticFunction):
 
     def _p_jet(self, z: complex, order: int) -> TaylorJet:
         """Jet of f''/f' = c*phi/(1 - z*phi) at z."""
-        zj, phi = _id_jet(z, order), self.schur.jet(z, order)
+        zj, phi = jet_identity(z, order), self.schur.jet(z, order)
         if self.variant == "F0":
             phi = jet_mul(zj, phi)
-        one_minus = jet_add(_one_jet(z, order), jet_scale(jet_mul(zj, phi), -1.0))
+        one_minus = jet_add(jet_constant(1.0, order, z), jet_scale(jet_mul(zj, phi), -1.0))
         return jet_scale(jet_div(phi, one_minus), self.c)
 
     def jet(self, z, order):

@@ -80,10 +80,11 @@ def jet_constant(value: complex, order: int = 0, center: complex = 0j) -> Taylor
 
 
 def jet_identity(center: complex = 0j, order: int = 1) -> TaylorJet:
-    """Jet of the function w -> w around ``center``."""
-    if order < 1:
-        raise ValueError("identity jet needs order >= 1")
-    return TaylorJet(center, (complex(center), 1.0 + 0j) + (0j,) * (order - 1))
+    """Jet of the function w -> w around ``center``; order 0 keeps only its
+    value."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return TaylorJet(center, ((complex(center), 1.0 + 0j) + (0j,) * order)[: order + 1])
 
 
 def jet_linear(a: complex, b: complex, center: complex = 0j, order: int = 1) -> TaylorJet:

@@ -6,8 +6,8 @@ Poincare density of the disk.  The suprema of the sharp examples are
 typically attained only as r -> 1, so the search runs in three phases:
 
 1. a polar grid with radii cosine-clustered toward the boundary,
-2. derivative-free simplex refinement from the ``refine_starts`` best grid
-   cells (``_top_cells``: a partition, then a stable sort of only the cells
+2. derivative-free simplex refinement from the 8 best grid cells
+   (``_top_cells``: a partition, then a stable sort of only the cells
    above the k-th value, so ties break in (r, theta) order as in a stable
    argsort of the whole grid), by an in-module Nelder-Mead (``_nelder_mead``)
    that follows scipy.optimize's non-adaptive method step for step on floats,
@@ -31,7 +31,7 @@ import cmath
 import math
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,9 @@ from .errors import DivisionBySingular, DomainError, SearchUnreliable
 from .functions import AnalyticFunction
 
 R_CAP = 1.0 - 1e-6
+# Nelder-Mead starts (the best grid cells) and iterations per start
+_REFINE_STARTS = 8
+_REFINE_MAXITER = 200
 _WHICH = ("pre_schwarzian", "schwarzian")
 # Extrapolation nodes r = 1 - h0 * 2^-k, k = 0..3; the finest one sits on
 # the grid cap.
@@ -62,15 +65,9 @@ class NormEstimate:
     extrapolated: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax": [self.argmax[0], self.argmax[1]],
-            "boundary_attained": self.boundary_attained,
-            "grid_resolution": [self.grid_resolution[0], self.grid_resolution[1]],
-            "refinement_iterations": self.refinement_iterations,
-            "certified_lower": self.certified_lower,
-            "extrapolated": self.extrapolated,
-        }
+        d = asdict(self)
+        d["argmax"], d["grid_resolution"] = list(self.argmax), list(self.grid_resolution)
+        return d
 
 
 def _check_which(which: str) -> int:
@@ -206,22 +203,17 @@ def hyperbolic_norm(
     which: str,
     grid: tuple[int, int] = (256, 256),
     workers: int | None = None,
-    r_cap: float = R_CAP,
-    refine_starts: int = 8,
-    refine_maxiter: int = 200,
 ) -> NormEstimate:
     """Three-phase sup search for the hyperbolic norm of P_f or S_f."""
     power = _check_which(which)
     memo = _SEARCHES.setdefault(f, {})
-    key = (which, tuple(grid), r_cap, refine_starts, refine_maxiter)
+    key = (which, tuple(grid))
     if key in memo:
         return memo[key]
     nr, na = grid
     if nr < 2 or na < 1:
         raise ValueError("grid must have at least 2 radii and 1 angle")
-    if refine_starts < 1 or refine_maxiter < 1:
-        raise ValueError("refine_starts and refine_maxiter must be >= 1")
-    rs = _radial_grid(nr, r_cap)
+    rs = _radial_grid(nr, R_CAP)
     thetas = 2.0 * np.pi * np.arange(na) / na
     zgrid = rs[:, None] * np.exp(1j * thetas)[None, :]
 
@@ -268,7 +260,7 @@ def hyperbolic_norm(
             best[0], best[1], best[2] = val, r, theta
         return val
 
-    starts = [np.unravel_index(k, w.shape) for k in _top_cells(w_clean, refine_starts)]
+    starts = [np.unravel_index(k, w.shape) for k in _top_cells(w_clean, _REFINE_STARTS)]
     for i, j in starts:
         _record(float(rs[i]), float(thetas[j]))
 
@@ -280,10 +272,10 @@ def hyperbolic_norm(
         r0, t0 = float(rs[i]), float(thetas[j])
         dr = float(rs[min(i + 1, nr - 1)] - rs[i]) or float(rs[i] - rs[i - 1])
         # starts pinned at the cap step inward, else the simplex degenerates
-        r1 = r0 + dr if r0 + dr <= r_cap else r0 - dr
+        r1 = r0 + dr if r0 + dr <= R_CAP else r0 - dr
 
         def objective(x):
-            r = min(abs(x[0]), r_cap)
+            r = min(abs(x[0]), R_CAP)
             theta = x[1] % (2.0 * math.pi)  # grid angles live in [0, 2*pi)
             val = _record(r, theta)
             return math.inf if math.isnan(val) else -val
@@ -291,7 +283,7 @@ def hyperbolic_norm(
         _, _, nit = _nelder_mead(
             objective,
             [(r0, t0), (r1, t0), (r0, t0 + dtheta)],
-            maxiter=refine_maxiter,
+            maxiter=_REFINE_MAXITER,
             xatol=1e-10,
             fatol=1e-12,
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -75,6 +75,10 @@ THEOREM_IDS = (
 )
 
 
+def _json_point(z: complex | None) -> list[float] | None:
+    return None if z is None else [z.real, z.imag]
+
+
 @dataclass(frozen=True)
 class MembershipVerdict:
     status: str  # member_by_construction | empirically_consistent | violated
@@ -82,13 +86,7 @@ class MembershipVerdict:
     margin: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": None
-            if self.witness is None
-            else [self.witness.real, self.witness.imag],
-            "margin": self.margin,
-        }
+        return {**asdict(self), "witness": _json_point(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -100,15 +98,7 @@ class BoundReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "worst_point": None
-            if self.worst_point is None
-            else [self.worst_point.real, self.worst_point.imag],
-            "passed": self.passed,
-        }
+        return {**asdict(self), "worst_point": _json_point(self.worst_point)}
 
 
 @dataclass(frozen=True)
@@ -194,22 +184,17 @@ def thm21_ii_margin(f: AnalyticFunction, c: float, z: complex) -> float:
     f_2 turns into an identity).
     """
     z = complex(z)
-    p = f.preschwarzian(z)
-    return (
-        (1.0 + z * p).real
-        - (1.0 - c / 2.0)
-        - (1.0 - abs(z) ** 2) / (2.0 * c) * abs(p) ** 2
-    )
+    return float(_margins_ii_iii(z, f.preschwarzian(z), c)[0])
 
 
 def thm21_iii_margin(f: AnalyticFunction, c: float, z: complex) -> float:
     """Signed margin of |(1-|z|^2)(f''/f') - c conj(z)| <= c."""
     z = complex(z)
-    p = f.preschwarzian(z)
-    return c - abs((1.0 - abs(z) ** 2) * p - c * z.conjugate())
+    return float(_margins_ii_iii(z, f.preschwarzian(z), c)[1])
 
 
 def _margins_ii_iii(zs, p, c):
+    """Margins (ii) and (iii) at ``zs`` from p = f''/f' there; NaN -> -inf."""
     zp = zs * p
     ii = (
         (1.0 + zp).real
@@ -304,14 +289,7 @@ def verify_growth_distortion(
         ]
     )
     margins = np.where(np.isnan(margins), -np.inf, margins)
-    idx = int(np.argmin(margins))
-    return BoundReport(
-        theorem_id="thm2.2",
-        samples=samples,
-        worst_margin=float(margins.ravel()[idx]),
-        worst_point=complex(zs[idx % samples]),
-        passed=float(margins.ravel()[idx]) >= -1e-9,
-    )
+    return _report("thm2.2", samples, margins.ravel(), np.tile(zs, 4))
 
 
 # ---------------------------------------------------------------------------

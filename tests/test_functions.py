@@ -28,6 +28,7 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
+from schwarznorm._integrate import _GL_W, _GL_X, _panel_breaks
 from schwarznorm._sampling import disk_samples
 from schwarznorm.theorems import (
     VALUE_SAMPLE_RADIUS,
@@ -401,6 +402,46 @@ class TestOnePassBitIdentity:
                 assert same_bits(f.schwarzian(z), reference_schwarzian(f, z)), (degree, z)
 
 
+# The scattered-point integral from before ``ExtremalFcLambda`` took f as
+# the G output of ``exp_path_integrals``, kept verbatim as the reference.
+def reference_segment_integral(func, zs):
+    """Integral of ``func`` along [0, z] for every z in ``zs``."""
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
+    out = np.zeros_like(flat)
+    if flat.size:
+        breaks = _panel_breaks(float(np.max(np.abs(flat))))
+        for ta, tb in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (tb - ta)
+            nodes = ta + half * (_GL_X + 1.0)
+            w = flat[:, None] * nodes[None, :]
+            out += (half * flat) * (func(w) @ _GL_W)
+    return out.reshape(zs.shape)
+
+
+SEGMENT_POINTS = {
+    "0-d": lambda: np.asarray(0.3 - 0.4j),
+    "0-d_origin": lambda: np.asarray(0j),
+    "empty": lambda: np.empty(0, dtype=complex),
+    "2-D": lambda: bit_points(60, seed=5).reshape(6, 10),
+    "1000_at_0.99": lambda: disk_samples(1000, 0.99),
+    "200_at_0.999": lambda: disk_samples(200, 0.999),
+}
+
+
+class TestSegmentIntegralBitIdentity:
+    """f of ``ExtremalFcLambda`` from ``exp_path_integrals`` has the bits of
+    the former one-integral routine, for every point-set shape."""
+
+    @pytest.mark.parametrize("points", sorted(SEGMENT_POINTS))
+    @pytest.mark.parametrize("lam", [1.0, -1j, np.exp(0.7j)])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 2.5, 3.0])
+    def test_fc_lambda_values(self, c, lam, points):
+        f = make_extremal_fc_lambda(c, lam)
+        zs = SEGMENT_POINTS[points]()
+        assert same_bits(f.value(zs), reference_segment_integral(f._deriv, zs))
+
+
 # The per-kind scalar formulas from before the P_f and S_f hooks served
 # scalar queries, kept verbatim as the reference; kinds without a copy went
 # through their hook on a 0-d array.
@@ -485,7 +526,7 @@ class TestScalarRoute:
     @pytest.mark.parametrize(
         "f, z, quantities",
         [
-            (Mobius(1.0, 0.0, 2.0, 1.0), -0.5, ["p"]),  # pole inside the disk; S_f = 0
+            (Mobius(1.0, 0.0, 2.0, 1.0), -0.5, ["p"]),  # pole; the former S_f formula gave 0
             (Polynomial([0, 0, 1]), 0j, ["p", "s"]),  # f' = 2z vanishes
         ],
     )
@@ -498,6 +539,13 @@ class TestScalarRoute:
                 reference_query(formula, f, z)
             with pytest.raises(DivisionBySingular):
                 query(z)
+
+    @pytest.mark.parametrize("z", [-0.5, np.array([0.1, -0.5, 0.3j])])
+    @pytest.mark.parametrize("quantity", ["preschwarzian", "schwarzian"])
+    def test_mobius_pole_raises(self, quantity, z):
+        # S_f = 0 off the pole, but at it f is not analytic, for P_f and S_f alike
+        with pytest.raises(DivisionBySingular):
+            getattr(Mobius(1.0, 0.0, 2.0, 1.0), quantity)(z)
 
 
 def polar_grid(gridsize):

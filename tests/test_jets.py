@@ -256,3 +256,10 @@ class TestInvariantsAndValidation:
         a = J(1, 2, 3)
         assert jet_scale(a, 2.0).coeffs == (2, 4, 6)
         assert abs(a(0.1) - (1 + 0.2 + 0.03)) < 1e-15
+
+    def test_identity_every_order(self):
+        assert jet_identity(0.3 - 0.1j, 0).coeffs == (0.3 - 0.1j,)
+        assert jet_identity(0.3 - 0.1j, 1).coeffs == (0.3 - 0.1j, 1)
+        assert jet_identity(0.3 - 0.1j, 3).coeffs == (0.3 - 0.1j, 1, 0, 0)
+        with pytest.raises(ValueError):
+            jet_identity(0j, -1)

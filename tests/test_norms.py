@@ -212,20 +212,10 @@ class TestRefineStarts:
             assert got.dtype == np.intp
             assert got.tolist() == argsort_starts(w, k).tolist(), k
 
-    @pytest.mark.parametrize(
-        "options",
-        [{"refine_starts": -1}, {"refine_starts": 0}, {"refine_maxiter": 0},
-         {"refine_maxiter": -2}],
-    )
-    def test_refine_options_out_of_range(self, options):
-        # a negative count would slice the start order from its end, no start
-        # would report -inf, and scipy's iteration count cannot read less than 1
-        with pytest.raises(ValueError):
-            hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(4, 4), **options)
-
-    def test_one_iteration_per_start(self):
-        est = hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(8, 8),
-                              refine_starts=3, refine_maxiter=1)
+    def test_one_iteration_per_start(self, monkeypatch):
+        monkeypatch.setattr(norms, "_REFINE_STARTS", 3)
+        monkeypatch.setattr(norms, "_REFINE_MAXITER", 1)
+        est = hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(8, 8))
         assert est.refinement_iterations == 3
 
 

@@ -1,15 +1,20 @@
 """Membership, bound verifiers, lemma margins, univalence predicates."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from schwarznorm._sampling import disk_samples
 from schwarznorm.errors import DivisionBySingular, DomainError, GammaDegenerate
 from schwarznorm.functions import (
+    AnalyticFunction,
     ClassSpec,
+    Koebe,
     Mobius,
     Polynomial,
+    QuadraticPerturbation,
     SchurFunction,
     half_plane,
     make_extremal_fc,
@@ -19,9 +24,13 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
-from schwarznorm.norms import hyperbolic_norm
+from schwarznorm.norms import NormEstimate, hyperbolic_norm
 from schwarznorm.theorems import (
+    VALUE_SAMPLE_RADIUS,
+    BoundReport,
     GammaSpec,
+    MembershipVerdict,
+    _growth_tables,
     gamma_of,
     growth_distortion_bounds,
     lemmaA_margin,
@@ -139,6 +148,22 @@ class TestThm21Margins:
                 assert thm21_ii_margin(m, 1.5, complex(z)) >= -1e-9
                 assert thm21_iii_margin(m, 1.5, complex(z)) >= -1e-9
 
+    def test_scalar_margins_match_the_former_formulas(self):
+        # the scalar margins run the array formula on one point, so only
+        # their last bits may differ from the former scalar expressions
+        zs = disk_samples(200, 0.99).tolist()
+        for f, c in ((F2, 2.0), (make_extremal_fc_star(2.5), 2.5),
+                     (random_member(ClassSpec(1.5), 4, 4), 1.5), (Koebe(), 1.0)):
+            for z in zs:
+                p = f.preschwarzian(z)
+                ii = (1.0 + z * p).real - (1.0 - c / 2.0) \
+                    - (1.0 - abs(z) ** 2) / (2.0 * c) * abs(p) ** 2
+                iii = c - abs((1.0 - abs(z) ** 2) * p - c * z.conjugate())
+                for got, want in ((thm21_ii_margin(f, c, z), ii),
+                                  (thm21_iii_margin(f, c, z), iii)):
+                    assert type(got) is float
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (f, z)
+
 
 class TestGrowthDistortion:
     def test_r_zero(self):
@@ -188,6 +213,141 @@ class TestGrowthDistortion:
         rep = verify_growth_distortion(make_extremal_fc_star(2.0), 2.0, 150)
         assert rep.passed
         assert 0 <= rep.worst_margin < 1e-3
+
+
+# The growth/distortion fold and the literal report dicts from before
+# ``verify_growth_distortion`` folded through ``_report`` and ``to_json_dict``
+# started from ``dataclasses.asdict``, kept verbatim as the reference.
+def reference_verify_growth_distortion(f, c, samples=200):
+    zs = disk_samples(samples, VALUE_SAMPLE_RADIUS)
+    rs = np.abs(zs)
+    bounds_low, bounds_high = _growth_tables(c, rs)
+    half = c / 2.0
+    fv, fp = f._value_and_deriv(zs)
+    fv, fp = np.abs(fv), np.abs(fp)
+    margins = np.stack(
+        [
+            fp - (1.0 + rs * rs) ** -half,
+            (1.0 - rs * rs) ** -half - fp,
+            fv - bounds_low,
+            bounds_high - fv,
+        ]
+    )
+    margins = np.where(np.isnan(margins), -np.inf, margins)
+    idx = int(np.argmin(margins))
+    return BoundReport(
+        theorem_id="thm2.2",
+        samples=samples,
+        worst_margin=float(margins.ravel()[idx]),
+        worst_point=complex(zs[idx % samples]),
+        passed=float(margins.ravel()[idx]) >= -1e-9,
+    )
+
+
+def reference_norm_estimate_dict(est):
+    return {
+        "value": est.value,
+        "argmax": [est.argmax[0], est.argmax[1]],
+        "boundary_attained": est.boundary_attained,
+        "grid_resolution": [est.grid_resolution[0], est.grid_resolution[1]],
+        "refinement_iterations": est.refinement_iterations,
+        "certified_lower": est.certified_lower,
+        "extrapolated": est.extrapolated,
+    }
+
+
+def reference_bound_report_dict(rep):
+    return {
+        "theorem_id": rep.theorem_id,
+        "samples": rep.samples,
+        "worst_margin": rep.worst_margin,
+        "worst_point": None
+        if rep.worst_point is None
+        else [rep.worst_point.real, rep.worst_point.imag],
+        "passed": rep.passed,
+    }
+
+
+def reference_membership_dict(verdict):
+    return {
+        "status": verdict.status,
+        "witness": None
+        if verdict.witness is None
+        else [verdict.witness.real, verdict.witness.imag],
+        "margin": verdict.margin,
+    }
+
+
+class Planted(AnalyticFunction):
+    """f and f' planted at the growth samples, NaN at chosen indices."""
+
+    def __init__(self, nan_f=(), nan_fp=()):
+        zs = disk_samples(200, VALUE_SAMPLE_RADIUS)
+        self.fv, self.fp = zs.copy(), np.ones_like(zs)
+        self.fv[list(nan_f)] = np.nan
+        self.fp[list(nan_fp)] = np.nan
+
+    def _value_and_deriv(self, zs):
+        return self.fv, self.fp
+
+
+GROWTH_CASES = {
+    "identity": lambda: (make_gallery("identity"), 1.5),
+    "koebe": lambda: (Koebe(), 2.0),  # fails: worst margin negative
+    "fc_star": lambda: (make_extremal_fc_star(2.0), 2.0),
+    "fc_lambda": lambda: (make_extremal_fc_lambda(2.5, -1.0), 2.5),
+    **{f"member_F0_{c}_{d}": (lambda c=c, d=d: (random_member(ClassSpec(c, True), d, d), c))
+       for c in (1.0, 2.0, 3.0) for d in (0, 3, 8)},
+    "perturbed": lambda: (QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.4), 2.0),
+    "nan_in_f": lambda: (Planted(nan_f=(40, 17)), 2.0),  # ties at -inf in rows 2 and 3
+    "nan_in_f_and_fp": lambda: (Planted(nan_f=(17,), nan_fp=(90,)), 2.0),
+}
+
+
+def same_json(got, want):
+    return got == want and json.dumps(got) == json.dumps(want)
+
+
+class TestReportFolds:
+    """The consolidated fold and report dicts give the former reports and
+    the same JSON bytes."""
+
+    @pytest.mark.parametrize("name", sorted(GROWTH_CASES))
+    def test_growth_distortion_fold(self, name):
+        f, c = GROWTH_CASES[name]()
+        got, want = verify_growth_distortion(f, c), reference_verify_growth_distortion(f, c)
+        assert got == want
+        assert same_json(got.to_json_dict(), reference_bound_report_dict(want))
+
+    def test_bound_report_dicts(self):
+        reports = [
+            BoundReport("thm2.3", 4, 0.5, None, True),
+            BoundReport("thm2.2", 200, -math.inf, 0.25 - 0.5j, False),
+            verify_thm23(make_extremal_fc_star(1.5), 1.5, grid=(16, 16)),
+            verify_growth_distortion(Koebe(), 2.0),
+        ]
+        for rep in reports:
+            assert same_json(rep.to_json_dict(), reference_bound_report_dict(rep))
+
+    def test_membership_dicts(self):
+        verdicts = [
+            MembershipVerdict("empirically_consistent", None, 0.5),
+            membership_status(F2, 2.0, 200),
+            membership_status(manufacture_nonmember(2.0, seed=4), 2.0, 200),
+        ]
+        assert [v.witness is None for v in verdicts] == [True, True, False]
+        for v in verdicts:
+            assert same_json(v.to_json_dict(), reference_membership_dict(v))
+
+    def test_norm_estimate_dicts(self):
+        estimates = [
+            NormEstimate(1.5, (0.5, 0.25), False, (8, 8), 12, 1.5, None),
+            hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(16, 16)),
+            hyperbolic_norm(Mobius(1.0, 0.0, 2.0, 1.0), "pre_schwarzian", grid=(16, 16)),
+        ]
+        assert estimates[0].extrapolated is None
+        for est in estimates:
+            assert same_json(est.to_json_dict(), reference_norm_estimate_dict(est))
 
 
 class TestNormBounds:
