@@ -18,7 +18,7 @@ class DivisionBySingular(ArithmeticError):
 
 
 class SearchUnreliable(RuntimeError):
-    """Too large a fraction of the norm-search grid hit singular points."""
+    """Singular points in the norm search: too many on the grid, or one in refinement."""
 
 
 class GammaDegenerate(ValueError):

@@ -99,8 +99,9 @@ class ClassSpec:
 class SchurFunction:
     """Analytic self-map of the disk: a finite Blaschke product (possibly
     with zero factors, i.e. a unimodular rotation) or a constant of modulus
-    at most one.  s and s' come from one pass over the factors, for scalars
-    or arrays (``value_and_deriv``; ``value`` and ``deriv`` use it too)."""
+    at most one.  s and s' come from one pass over the factors
+    (``value_and_deriv``): s' by the product rule for arrays, and for scalars
+    by the leave-one-out products, whose bits are in the reports."""
 
     def __init__(self, kind: str, zeros=(), rotation: complex = 1.0, value: complex = 0.0):
         if kind not in ("constant", "blaschke"):
@@ -153,35 +154,30 @@ class SchurFunction:
         return self._pass(z, True)
 
     def _pass(self, z, need_deriv: bool):
-        # s' = rotation * sum_i (1-|a_i|^2)/(1-conj(a_i) z)^2 * prod_{j!=i} b_j,
-        # with b_j = (z-a_j)/(1-conj(a_j) z); each denominator is formed once
+        # b_j = (z-a_j)/(1-conj(a_j) z), each denominator formed once; arrays
+        # take s' by the product rule, scalars by the leave-one-out sum
+        # rotation * sum_i b_i' prod_{j!=i} b_j, which certified_lower reads
         scalar = not (isinstance(z, np.ndarray) and z.ndim)  # plain complex: the hot path
         z = complex(z) if scalar else np.asarray(z, dtype=complex)
         out = self._lead if scalar else np.full_like(z, self._lead)
+        d = 0j if scalar else np.zeros_like(z)
         factors, terms = [], []
         for a, ca, mass in self._factors:
             den = 1.0 - ca * z
+            if need_deriv and scalar:
+                factors.append((z - a) / den)
+                terms.append(mass / den ** 2)
+            elif need_deriv:  # uses s of the factors before this one
+                d = d * ((z - a) / den) + out * (mass / den ** 2)
             # (z - a) stays an unnamed temporary: from 256 KiB on, numpy
             # multiplies into it in place, and naming it would swap the
             # operands of a complex multiply that is not bitwise commutative
             out = out * (z - a) / den
-            if need_deriv:
-                factors.append((z - a) / den)
-                terms.append(mass / den ** 2)
-        if not terms:
-            return out, (0j if scalar else np.zeros_like(z))
-        if scalar:
-            total = 0j
-            for i, term in enumerate(terms):
-                for fj in factors[:i] + factors[i + 1:]:
-                    term *= fj
-                total += term
-            return out, self.rotation * total
-        factors, terms = np.stack(factors), np.stack(terms)
-        ones = np.ones_like(z)[None]
-        prefix = np.concatenate([ones, np.cumprod(factors, axis=0)])
-        suffix = np.concatenate([ones, np.cumprod(factors[::-1], axis=0)])[::-1]
-        return out, self.rotation * np.sum(terms * prefix[:-1] * suffix[1:], axis=0)
+        for i, term in enumerate(terms):
+            for fj in factors[:i] + factors[i + 1:]:
+                term *= fj
+            d += term
+        return out, (self.rotation * d if terms else d)
 
     def jet(self, center: complex, order: int) -> TaylorJet:
         out = jet_constant(self._lead, order, center)

@@ -16,13 +16,14 @@ typically attained only as r -> 1, so the search runs in three phases:
 
 Every reported value is backed by ``certified_lower``, the largest actually
 evaluated weighted modulus; the extrapolated limit is reported as the value
-only when it exceeds that certified bound.  Grid evaluation is chunked
-(optionally across a thread pool) with a deterministic argmax reduction:
-ties break lexicographically in (r, theta), and results are bit-identical
-for any worker count.  So estimates are memoized per function and search
-parameters in ``_SEARCHES``, a module-level ``weakref.WeakKeyDictionary``:
-repeated searches share one result, the function is never modified, and
-its entries go when it does.
+only when it exceeds that certified bound.  Each point is evaluated once
+per search; a singular refinement point, a pole of P_f or S_f in the disk,
+raises :class:`SearchUnreliable`.  Grid evaluation is chunked (optionally
+across a thread pool) with a deterministic argmax reduction: ties break
+lexicographically in (r, theta), and results are bit-identical for any
+worker count.  So estimates are memoized per function and search
+parameters in ``_SEARCHES``, a weak-keyed dict: repeated searches share
+one result, the function is never modified, and its entries go when it does.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def _weighted_array(f: AnalyticFunction, zs: np.ndarray, power: int) -> np.ndarr
     return (1.0 - np.abs(zs) ** 2) ** power * np.abs(vals)
 
 
-def _radial_grid(n: int, r_cap: float) -> np.ndarray:
+def _radial_grid(n: int) -> np.ndarray:
     i = np.arange(n)
-    return r_cap * np.sin(0.5 * np.pi * i / (n - 1))
+    return R_CAP * np.sin(0.5 * np.pi * i / (n - 1))
 
 
 def radial_profile(
@@ -106,7 +107,7 @@ def radial_profile(
     power = _check_which(which)
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    rs = _radial_grid(samples, R_CAP)
+    rs = _radial_grid(samples)
     zs = rs * cmath.exp(1j * theta)
     w = _weighted_array(f, zs, power)
     return [(float(r), float(v)) for r, v in zip(rs, w) if not math.isnan(v)]
@@ -213,7 +214,7 @@ def hyperbolic_norm(
     nr, na = grid
     if nr < 2 or na < 1:
         raise ValueError("grid must have at least 2 radii and 1 angle")
-    rs = _radial_grid(nr, R_CAP)
+    rs = _radial_grid(nr)
     thetas = 2.0 * np.pi * np.arange(na) / na
     zgrid = rs[:, None] * np.exp(1j * thetas)[None, :]
 
@@ -242,20 +243,24 @@ def hyperbolic_norm(
 
     # Deterministic scalar evaluation used for every certified candidate,
     # so re-evaluating weighted_modulus at the reported argmax reproduces
-    # certified_lower exactly.
+    # certified_lower exactly.  Evaluated once per z: at r = 0 every theta is z = 0.
+    seen: dict[complex, float] = {}
+
     def _scalar(r: float, theta: float) -> float:
         z = r * cmath.exp(1j * theta)
-        try:
-            return weighted_modulus(f, z, which)
-        except DivisionBySingular:
-            return math.nan
+        if z not in seen:
+            try:
+                seen[z] = weighted_modulus(f, z, which)
+            except DivisionBySingular:
+                seen[z] = math.nan
+        return seen[z]
 
     best = [-math.inf, 0.0, 0.0]
 
     def _record(r: float, theta: float) -> float:
         val = _scalar(r, theta)
-        if math.isnan(val):
-            return val
+        if math.isnan(val):  # a pole of P_f or S_f: the norm is infinite
+            raise SearchUnreliable(f"{which} is singular at (r, theta) = ({r}, {theta})")
         if val > best[0] or (val == best[0] and (r, theta) < (best[1], best[2])):
             best[0], best[1], best[2] = val, r, theta
         return val
@@ -277,8 +282,7 @@ def hyperbolic_norm(
         def objective(x):
             r = min(abs(x[0]), R_CAP)
             theta = x[1] % (2.0 * math.pi)  # grid angles live in [0, 2*pi)
-            val = _record(r, theta)
-            return math.inf if math.isnan(val) else -val
+            return -_record(r, theta)
 
         _, _, nit = _nelder_mead(
             objective,

@@ -54,6 +54,18 @@ class TestNorm:
         )
         assert code == 2
 
+    def test_pole_inside_the_disk_exits_two(self, capsys):
+        # z / (2z + 1): P_f = -4/(2z + 1) has a pole at -0.5, the norm is infinite
+        spec = {"kind": "mobius",
+                "params": {"a": [1, 0], "b": [0, 0], "c": [2, 0], "d": [1, 0]}}
+        code = main(["norm", "--spec", json.dumps(spec), "--which", "pre_schwarzian"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "numerical search failed: pre_schwarzian is singular at (r, theta) = (0.4"
+        )
+
     def test_norm_estimate_fields_frozen(self, capsys):
         _, payload = run_json(
             capsys, "norm", "--gallery", "identity", "--which", "schwarzian"

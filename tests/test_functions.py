@@ -320,7 +320,21 @@ def reference_schur_deriv(s, z):
                     term *= fj
             total += term
         return s.rotation * total
+    # arrays: the product rule, one factor at a time, as the pass runs it
     zs = np.asarray(z, dtype=complex)
+    out, d = np.full_like(zs, s.rotation), np.zeros_like(zs)
+    for a in s.zeros:
+        den = 1.0 - a.conjugate() * zs
+        d = d * ((zs - a) / den) + out * ((1.0 - abs(a) ** 2) / den ** 2)
+        out = out * (zs - a) / den
+    return d
+
+
+# The array s' from before the product rule: every leave-one-out product
+# from prefix and suffix cumulative products.  Kept as a cross-check of the
+# product rule, which sums in another order.
+def former_schur_deriv(s, zs):
+    zs = np.asarray(zs, dtype=complex)
     if s.kind == "constant" or not s.zeros:
         return np.zeros_like(zs)
     factors = np.stack([(zs - a) / (1.0 - np.conj(a) * zs) for a in s.zeros])
@@ -335,10 +349,10 @@ def reference_schur_deriv(s, z):
     return s.rotation * np.sum(dfactors * prefix[:-1] * suffix[1:], axis=0)
 
 
-def reference_schwarzian(f, zs):
+def reference_schwarzian(f, zs, schur_deriv=None):
     s = reference_schur_value(f.schur, zs)
     phi = zs * s if f.variant == "F0" else s
-    ds = reference_schur_deriv(f.schur, zs)
+    ds = (schur_deriv or reference_schur_deriv)(f.schur, zs)
     dphi = s + zs * ds if f.variant == "F0" else ds
     return f.c * (dphi + (1.0 - f.c / 2.0) * phi * phi) / (1.0 - zs * phi) ** 2
 
@@ -392,14 +406,43 @@ class TestOnePassBitIdentity:
 
     @pytest.mark.parametrize("variant", ["F", "F0"])
     def test_schwarzian_hooks_on_the_search_grid(self, variant):
-        from schwarznorm.norms import R_CAP, _radial_grid
+        from schwarznorm.norms import _radial_grid
 
-        zs = _radial_grid(256, R_CAP)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)
+        zs = _radial_grid(256)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)
         for degree in range(9):
             f = random_member(ClassSpec(1.5, variant == "F0"), degree, degree)
             assert same_bits(f._schwarzian(zs), reference_schwarzian(f, zs)), degree
             for z in zs[::37, ::41].ravel().tolist():
                 assert same_bits(f.schwarzian(z), reference_schwarzian(f, z)), (degree, z)
+
+
+def assert_close(got, want, rel=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+class TestProductRuleAgainstFormer:
+    """The array s' by the product rule sums in another order than the
+    former leave-one-out products; the two agree to rounding."""
+
+    @pytest.mark.parametrize("count", [1000, 20000])
+    @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
+    def test_schur_deriv(self, name, count):
+        s = BIT_SCHURS[name]()
+        zs = bit_points(count)
+        assert_close(s.deriv(zs), former_schur_deriv(s, zs))
+
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_weighted_schwarzian_on_the_search_grid(self, variant):
+        from schwarznorm.norms import _radial_grid, _weighted_array
+
+        zs = _radial_grid(256)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)
+        for degree in range(9):
+            f = random_member(ClassSpec(1.5, variant == "F0"), degree, degree)
+            former = (1.0 - np.abs(zs) ** 2) ** 2 * np.abs(
+                reference_schwarzian(f, zs, former_schur_deriv)
+            )
+            assert_close(_weighted_array(f, zs, 2), former)
 
 
 # The scattered-point integral from before ``ExtremalFcLambda`` took f as

@@ -166,6 +166,39 @@ class TestHyperbolicNorm:
         with pytest.raises(SearchUnreliable):
             hyperbolic_norm(Polynomial([5.0]), "pre_schwarzian")
 
+    @pytest.mark.parametrize(
+        "f",
+        [Mobius(1.0, 0.0, 2.0, 1.0), Polynomial([0.0, 1.0, 1.0])],
+        ids=["mobius_pole", "critical_point"],
+    )
+    def test_pole_of_p_inside_the_disk_is_an_infinite_norm(self, f):
+        # P_f has a pole at -0.5 (a pole of f, or a zero of f'); the grid
+        # misses it, and the refinement closes in on it until the singular
+        # tolerance cuts in, so the largest value it saw is no supremum
+        with pytest.raises(SearchUnreliable, match=r"singular at \(r, theta\) = \(0\.4"):
+            hyperbolic_norm(f, "pre_schwarzian")
+
+    @pytest.mark.parametrize("which", ["pre_schwarzian", "schwarzian"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: random_member(ClassSpec(2.0), 8, 8), Koebe, lambda: make_extremal_fc_star(3.0)],
+        ids=["degree8", "koebe", "fc_star_3"],
+    )
+    def test_each_point_is_evaluated_once(self, monkeypatch, build, which):
+        # the simplex revisits points, and f_3*'s S search sits at z = 0,
+        # reached from many angles
+        points = []
+
+        def counted(f, z, which):
+            points.append(z)
+            return weighted_modulus(f, z, which)
+
+        monkeypatch.setattr(norms, "weighted_modulus", counted)
+        est = hyperbolic_norm(build(), which)
+        monkeypatch.undo()
+        assert points and len(set(points)) == len(points)
+        assert est == hyperbolic_norm(build(), which)
+
     def test_univalent_gallery_respects_kraus_nehari(self):
         # necessity of ||S|| <= 6 at desk scale; koebe attains it
         univalent = [
@@ -197,7 +230,7 @@ def tied_grids():
     column = rng.normal(size=(64, 64))
     column[:, 5] = column.max()  # a tied column holds the top 64 cells
     f = random_member(ClassSpec(2.0, True), 44, 8)
-    zs = _radial_grid(64, R_CAP)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    zs = _radial_grid(64)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
     search = np.nan_to_num(_weighted_array(f, zs, 2), nan=-np.inf)
     return {"ties": ties, "infinities": infinities, "signed_zeros": signed_zeros,
             "column": column, "search": search}
@@ -352,7 +385,7 @@ class TestNelderMeadPort:
     def test_start_pinned_at_the_cap(self):
         # the objective is flat in r beyond the cap, and this search
         # wanders there until maxiter
-        rs = _radial_grid(256, R_CAP)
+        rs = _radial_grid(256)
         r0, r1 = float(rs[-1]), float(rs[-2])
         f = random_member(ClassSpec(2.0), 8, 8)
         objective = refinement_objective(f, "pre_schwarzian")

@@ -343,7 +343,8 @@ class TestReportFolds:
         estimates = [
             NormEstimate(1.5, (0.5, 0.25), False, (8, 8), 12, 1.5, None),
             hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(16, 16)),
-            hyperbolic_norm(Mobius(1.0, 0.0, 2.0, 1.0), "pre_schwarzian", grid=(16, 16)),
+            # pole at -2, outside the disk: an interior peak, extrapolated set
+            hyperbolic_norm(Mobius(1.0, 0.0, 0.5, 1.0), "pre_schwarzian", grid=(16, 16)),
         ]
         assert estimates[0].extrapolated is None
         for est in estimates:
