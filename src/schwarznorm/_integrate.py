@@ -125,12 +125,15 @@ def ray_path_integrals(
     return g[:, m - 1 :: m].T, f[:, m - 1 :: m].T
 
 
+# Recursion depth cap of ``adaptive_simpson``
+_SIMPSON_MAX_DEPTH = 30
+
+
 def adaptive_simpson(
     func: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-12,
-    max_depth: int = 30,
 ) -> float:
     """Recursive adaptive Simpson rule with Richardson correction."""
     if a == b:
@@ -139,7 +142,7 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fm = func(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(func, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(func, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)
 
 
 def _simpson_rec(func, a, b, fa, fm, fb, whole, tol, depth):

@@ -5,8 +5,8 @@ reports.
 Exit codes: 0 on success/pass, 1 on usage or specification errors (and on
 failed verifications), 2 on numerical-search failures.  Reports echo their
 semantic configuration and are byte-identical for identical (config, seed)
-regardless of --workers; wall-clock time goes to stderr only, so it cannot
-perturb report diffs.
+across reruns; wall-clock time goes to stderr only, so it cannot perturb
+report diffs.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _write(text: str, args) -> None:
 
 def _emit(args, results, start: float, passed: bool = True) -> int:
     """Write the JSON report and return the exit code.  Wall-clock time goes
-    to stderr, so reports are byte-identical across reruns and worker counts."""
+    to stderr, so reports are byte-identical across reruns."""
     report = {
         "tool_version": TOOL_VERSION,
         "config": _config_echo(args),
@@ -149,10 +149,6 @@ def _config_echo(args) -> dict:
     return echo
 
 
-def _norm_kwargs(args) -> dict:
-    return {"grid": tuple(args.grid), "workers": args.workers}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -161,7 +157,7 @@ def cmd_norm(args) -> int:
     start = time.perf_counter()
     f = _build_function(args)
     which = [args.which] if args.which else ["pre_schwarzian", "schwarzian"]
-    results = {w: hyperbolic_norm(f, w, **_norm_kwargs(args)).to_json_dict() for w in which}
+    results = {w: hyperbolic_norm(f, w, grid=args.grid).to_json_dict() for w in which}
     return _emit(args, results, start)
 
 
@@ -205,7 +201,7 @@ def _thm21(index: int):
 
 def _thm25(f, args) -> dict:
     try:
-        return verify_thm25(f, args.c, args.samples, **_norm_kwargs(args)).to_json_dict()
+        return verify_thm25(f, args.c, args.samples, grid=args.grid).to_json_dict()
     except GammaDegenerate as exc:
         # reported, not asserted
         return {"theorem_id": "thm2.5", "status": "gamma_degenerate", "detail": str(exc),
@@ -216,7 +212,7 @@ def _threshold(tid: str, f, args) -> dict:
     """A univalence threshold against brute-force injectivity: a sufficient
     test (Nehari, Becker, Ahlfors-Weill) that passes on a non-injective f
     fails, and so does an injective f with ||S_f|| above Kraus-Nehari's 6."""
-    preds = univalence_predicates(f, **_norm_kwargs(args))
+    preds = univalence_predicates(f, grid=args.grid)
     univalent = univalence_bruteforce(f)
     sufficient = {"nehari": preds.nehari_sufficient, "becker": preds.becker_sufficient,
                   "ahlfors-weill": preds.ahlfors_weill_k is not None}[tid]
@@ -266,9 +262,9 @@ _THEOREMS = {
     "thm2.2": (_growth_defaults, "F0", lambda f, a: verify_growth_distortion(
         f, a.c, min(a.samples, 200)).to_json_dict()),
     "thm2.3": (_maps("fc_star", "identity"), "F0",
-               lambda f, a: verify_thm23(f, a.c, **_norm_kwargs(a)).to_json_dict()),
+               lambda f, a: verify_thm23(f, a.c, grid=a.grid).to_json_dict()),
     "thm2.4": (_maps("fc_star", "identity"), "F0",
-               lambda f, a: verify_thm24(f, a.c, **_norm_kwargs(a)).to_json_dict()),
+               lambda f, a: verify_thm24(f, a.c, grid=a.grid).to_json_dict()),
     "thm2.5": (_maps("fc_star"), "F_deg1", _thm25),
     "lemmaA": (_unit_schurs, "schur", lambda s, a: verify_lemmaA(s, a.samples).to_json_dict()),
     "psi": (_unit_schurs, "schur", lambda s, a: verify_psi(s, a.samples).to_json_dict()),
@@ -369,7 +365,6 @@ def _add_common(p: argparse.ArgumentParser, include_function: bool = True):
     p.add_argument("--grid", type=_parse_grid, default=(256, 256), metavar="RxA")
     p.add_argument("--random", type=_int_at_least(0), default=0, metavar="N")
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--workers", type=_int_at_least(1), default=None)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -54,10 +54,6 @@ from .jets import (
 )
 
 DEFAULT_JET_ORDER = 32
-# Series-defined members cache their origin expansion at this order; the
-# underlying functions have radius-1 singularities, so the tail decays like
-# |z|^64 and the cached jet serves every origin-centered query.
-_ORIGIN_ORDER = 64
 
 
 def _prep(z) -> tuple[np.ndarray, bool]:
@@ -606,7 +602,6 @@ class SubordinationMember(AnalyticFunction):
         self.schur = schur
         self.variant = variant
         self.seed = seed
-        self._origin: TaylorJet | None = None
 
     def _phi(self, zs):
         s = self.schur.value(zs)
@@ -644,12 +639,10 @@ class SubordinationMember(AnalyticFunction):
         g, f = exp_path_integrals(self._preschwarzian, zs)
         return f, np.exp(g)
 
-    def origin_jet(self, order: int = _ORIGIN_ORDER) -> TaylorJet:
-        if self._origin is None or self._origin.order < order:
-            work = max(order, _ORIGIN_ORDER)
-            fp = jet_exp(jet_integrate(self._p_jet(0j, work)).truncated(work))
-            self._origin = jet_integrate(fp).truncated(work)
-        return self._origin.truncated(order)
+    def origin_jet(self, order: int) -> TaylorJet:
+        """Jet of f at 0: f' = exp(integral of f''/f'), f = integral of f'."""
+        fp = jet_exp(jet_integrate(self._p_jet(0j, order)).truncated(order))
+        return jet_integrate(fp).truncated(order)
 
     def _p_jet(self, z: complex, order: int) -> TaylorJet:
         """Jet of f''/f' = c*phi/(1 - z*phi) at z."""

@@ -18,12 +18,13 @@ Every reported value is backed by ``certified_lower``, the largest actually
 evaluated weighted modulus; the extrapolated limit is reported as the value
 only when it exceeds that certified bound.  Each point is evaluated once
 per search; a singular refinement point, a pole of P_f or S_f in the disk,
-raises :class:`SearchUnreliable`.  Grid evaluation is chunked (optionally
-across a thread pool) with a deterministic argmax reduction: ties break
-lexicographically in (r, theta), and results are bit-identical for any
-worker count.  So estimates are memoized per function and search
-parameters in ``_SEARCHES``, a weak-keyed dict: repeated searches share
-one result, the function is never modified, and its entries go when it does.
+raises :class:`SearchUnreliable`.  The grid is evaluated in four row
+blocks, and the argmax reduction is deterministic: ties break
+lexicographically in (r, theta), so a rerun gives the same bits.  Because
+the search is deterministic, estimates are memoized per function and
+search parameters in ``_SEARCHES``, a weak-keyed dict: repeated searches
+share one result, the function is never modified, and its entries go when
+it does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -203,7 +203,6 @@ def hyperbolic_norm(
     f: AnalyticFunction,
     which: str,
     grid: tuple[int, int] = (256, 256),
-    workers: int | None = None,
 ) -> NormEstimate:
     """Three-phase sup search for the hyperbolic norm of P_f or S_f."""
     power = _check_which(which)
@@ -218,21 +217,13 @@ def hyperbolic_norm(
     thetas = 2.0 * np.pi * np.arange(na) / na
     zgrid = rs[:, None] * np.exp(1j * thetas)[None, :]
 
+    # four row blocks keep the temporaries small; one call over the whole
+    # grid is slower and needs more memory
     w = np.empty((nr, na))
-    chunks = max(1, int(workers or 1) * 4)
-    bounds = np.linspace(0, nr, chunks + 1, dtype=int)
-    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def _fill(span):
-        lo, hi = span
-        w[lo:hi] = _weighted_array(f, zgrid[lo:hi], power)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_fill, spans))
-    else:
-        for span in spans:
-            _fill(span)
+    bounds = np.linspace(0, nr, 5, dtype=int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            w[lo:hi] = _weighted_array(f, zgrid[lo:hi], power)
 
     singular = np.isnan(w)
     if singular.sum() > 0.01 * w.size:

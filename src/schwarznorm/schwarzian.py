@@ -28,15 +28,6 @@ class DerivativePoint:
     local_univalence_ok: bool
 
 
-def _p_jet(f: AnalyticFunction, z: complex, order: int):
-    """Jet of P_f = f''/f' at z, from the order-(order+2) jet of f."""
-    fj = jet_at(f, z, order + 2)
-    fpj = jet_differentiate(fj)
-    if abs(fpj.coeffs[0]) <= SINGULAR_TOL:
-        raise DivisionBySingular(f"f' vanishes at {z}")
-    return jet_div(jet_differentiate(fpj), fpj), fpj
-
-
 def preschwarzian_at(f: AnalyticFunction, z: complex) -> complex:
     """f''(z)/f'(z) from the order-2 jet of f at z."""
     j = jet_at(f, z, 2)
@@ -48,7 +39,10 @@ def preschwarzian_at(f: AnalyticFunction, z: complex) -> complex:
 
 def schwarzian_at(f: AnalyticFunction, z: complex) -> complex:
     """S_f(z) = P_f'(z) - P_f(z)^2 / 2 from the order-3 jet of f at z."""
-    pj, _ = _p_jet(f, z, 1)
+    fpj = jet_differentiate(jet_at(f, z, 3))
+    if abs(fpj.coeffs[0]) <= SINGULAR_TOL:
+        raise DivisionBySingular(f"f' vanishes at {z}")
+    pj = jet_div(jet_differentiate(fpj), fpj)
     return pj.coeffs[1] - 0.5 * pj.coeffs[0] ** 2
 
 

