@@ -124,11 +124,7 @@ class SchurFunction:
             self.rotation = self._lead = rotation / abs(rotation)
         # (a, conj(a), 1 - |a|^2) per zero, formed once for every evaluation
         self._factors = tuple((a, a.conjugate(), 1.0 - abs(a) ** 2) for a in self.zeros)
-        self._self_map_check()
-
-    def _self_map_check(self, count: int = 1000):
-        pts = disk_samples(count, 0.999)
-        if np.max(np.abs(self.value(pts))) > 1.0 + 1e-12:
+        if np.max(np.abs(self.value(disk_samples(1000, 0.999)))) > 1.0 + 1e-12:
             raise ValueError("Schur function exceeds modulus 1 on the disk")
 
     @staticmethod

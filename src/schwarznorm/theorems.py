@@ -18,8 +18,9 @@ disk, 0 < c <= 3; F0(c) adds f''(0) = 0.  This module hosts:
   the norm-bound derivations;
 * univalence threshold predicates (Kraus-Nehari necessity at 6, Nehari
   sufficiency at 2, Becker at 1, the quasiconformal-extension coefficient
-  k = ||S||/2) and a brute-force injectivity oracle, whose verdicts are
-  memoized per function and gridsize in the weak-keyed ``_VERDICTS``.
+  k = ||S||/2) and a brute-force injectivity oracle (a sorted sweep for two
+  polar-grid images within 1e-10), whose verdicts are memoized per
+  function and gridsize in the weak-keyed ``_VERDICTS``.
 
 Margins are signed with "bound minus quantity >= 0" meaning pass, so every
 check reports how much slack survived instead of a bare boolean.
@@ -32,7 +33,6 @@ import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._integrate import adaptive_simpson
 from ._sampling import disk_samples
@@ -476,21 +476,33 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
 
     f is evaluated at radii 0.98 * k/gridsize, k = 1..gridsize, on gridsize
     equally spaced rays, through the polar-grid hook ``_polar_value``.
-    Returns False when a k-d tree query over all gridsize**2 image points
-    finds two distinct nodes mapped within 1e-10 of each other.  Both the
-    evaluation and the tree grow with gridsize**2, hence the gridsize cap.
+    Returns False when two distinct nodes are mapped within 1e-10 of each
+    other: dx*dx + dy*dy <= 1e-10 * 1e-10 on the float differences of their
+    images.  The images are sorted by real part and compared at offsets
+    k = 1, 2, ...; the sweep stops at the first offset whose real gaps all
+    exceed 1e-10, as the gaps only grow with k, so no close pair is missed.
+    Raises ``ValueError`` when an image is not finite.  The evaluation grows
+    with gridsize**2, hence the gridsize cap.
     """
     if not 2 <= gridsize <= 200:
-        raise ValueError("gridsize must lie in [2, 200] (quadratic pair cost above)")
+        raise ValueError("gridsize must lie in [2, 200] (evaluation grows with gridsize**2)")
     memo = _VERDICTS.setdefault(f, {})
     if gridsize in memo:
         return memo[gridsize]
     radii = 0.98 * np.arange(1, gridsize + 1) / gridsize
     thetas = 2.0 * np.pi * np.arange(gridsize) / gridsize
     vals = f._polar_value(radii, thetas).ravel()
-    pts = np.column_stack([vals.real, vals.imag])
-    tree = cKDTree(pts)
-    result = len(tree.query_pairs(1e-10)) == 0
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("f is not finite on the brute-force injectivity grid")
+    v = np.sort(vals)  # lexicographic: by real part first
+    result = True
+    for k in range(1, v.size):
+        d = v[k:] - v[:-k]
+        if not np.any(d.real <= 1e-10):
+            break
+        if np.any(d.real * d.real + d.imag * d.imag <= 1e-10 * 1e-10):
+            result = False
+            break
     memo[gridsize] = result
     return result
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schwarznorm
 from schwarznorm.cli import main
 from schwarznorm.functions import ExtremalFc
 from schwarznorm.theorems import verify_thm21_margins
@@ -297,3 +302,46 @@ class TestDeterminismAndIO:
 
     def test_bad_spec_json(self, capsys):
         assert main(["classify", "--spec", "{not json", "--c", "2"]) == 1
+
+
+def test_import_loads_no_scipy():
+    # the library runs on numpy alone; scipy serves the tests' references
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schwarznorm.__file__)))
+    code = ("import sys, schwarznorm, schwarznorm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
+
+
+CORPUS = Path(__file__).parent / "data" / "verify_all_c2_random3_seed7_grid32.json"
+CORPUS_ARGV = ["verify", "all", "--c", "2", "--random", "3", "--seed", "7", "--grid", "32x32"]
+
+
+def assert_report_matches(got, want, path="$"):
+    """Keys, structure, strings, booleans, ints and None exactly; floats to
+    1e-9 relative, with a floor of 1 on the scale: a margin such as -4.6e-14
+    is what is left of a cancellation between terms of order 1, and its own
+    digits may move with the CPU's floating-point loops."""
+    assert type(got) is type(want), (path, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def test_verify_report_matches_the_corpus(capsys):
+    # a committed report, compared by value so that it holds across machines;
+    # its 21 "univalent" entries come from univalence_bruteforce
+    want = json.loads(CORPUS.read_text())
+    code, got = run_json(capsys, *CORPUS_ARGV)
+    assert code == 0
+    assert_report_matches(got, want)

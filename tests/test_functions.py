@@ -705,12 +705,13 @@ class TestPolarValue:
             *(builder() for builder in DEFAULT_HOOK_KINDS),
             square,
         ]
-        radii, thetas = polar_grid(50)
-        zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-        for f in schur_panel("F", c) + schur_panel("F0", c) + others:
-            vals = f.value(zs)
-            pairs = cKDTree(np.column_stack([vals.real, vals.imag])).query_pairs(1e-10)
-            assert univalence_bruteforce(f, 50) == (not pairs), f
+        for gridsize in (2, 5, 50, 100):
+            radii, thetas = polar_grid(gridsize)
+            zs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+            for f in schur_panel("F", c) + schur_panel("F0", c) + others:
+                vals = f.value(zs)
+                pairs = cKDTree(np.column_stack([vals.real, vals.imag])).query_pairs(1e-10)
+                assert univalence_bruteforce(f, gridsize) == (not pairs), (f, gridsize)
         assert not univalence_bruteforce(square, 50)
 
     @pytest.mark.parametrize("c, closed_form", [(1.0, np.arcsin), (2.0, np.arctanh)])

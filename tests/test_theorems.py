@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from schwarznorm._sampling import disk_samples
 from schwarznorm.errors import DivisionBySingular, DomainError, GammaDegenerate
@@ -522,6 +523,77 @@ class TestUnivalence:
         assert univalence_bruteforce(f, 40)
         assert univalence_bruteforce(f, 40)
         assert vars(f) == before
+
+
+class PlantedImages(AnalyticFunction):
+    """Images planted on the brute-force grid: the given points, then filler
+    1,000 apart on the real axis, gridsize**2 images in all."""
+
+    def __init__(self, points, gridsize):
+        points = np.asarray(points, dtype=complex)
+        filler = 1e3 * np.arange(1, gridsize * gridsize - points.size + 1)
+        self.images = np.concatenate([points, filler])
+
+    def _polar_value(self, radii, thetas):
+        return self.images.reshape(radii.size, thetas.size)
+
+
+def tree_verdict(images):
+    """The former verdict: scipy's k-d tree finds no pair within 1e-10."""
+    return not cKDTree(np.column_stack([images.real, images.imag])).query_pairs(1e-10)
+
+
+class TestBruteforceSweep:
+    """The sorted sweep of ``univalence_bruteforce`` against the k-d tree it
+    replaced, on planted images at and around the 1e-10 threshold."""
+
+    def assert_verdict(self, points, gridsize, want):
+        f = PlantedImages(points, gridsize)
+        assert tree_verdict(f.images) is want
+        assert univalence_bruteforce(f, gridsize) is want
+
+    @pytest.mark.parametrize("distance, want", [
+        (0.5e-10, False), (0.999e-10, False), (1.001e-10, True), (1e-9, True),
+    ])
+    @pytest.mark.parametrize("angle", [0.0, 0.3, np.pi / 2, 2.0, np.pi, 4.0])
+    def test_pair_at_distance(self, distance, want, angle):
+        a = 0.3 + 0.2j
+        self.assert_verdict([a, -0.5 + 0.1j, a + distance * np.exp(1j * angle), 0.7j], 3, want)
+
+    @pytest.mark.parametrize("gap, want", [
+        (0.9e-10, False), (0.99e-10, False), (1e-10, False),
+        (np.nextafter(1e-10, 1.0), True), (1.01e-10, True), (1.1e-10, True),
+    ])
+    def test_equal_real_parts(self, gap, want):
+        # from 0 the imaginary difference is the gap itself, bit for bit
+        self.assert_verdict([0.25 + 0.5j, 0.25 + 0.5j + 1e-4, 0.25, complex(0.25, gap)], 2, want)
+
+    @pytest.mark.parametrize("gap, want", [(1e-10, False), (np.nextafter(1e-10, 1.0), True)])
+    def test_real_gap_at_the_threshold(self, gap, want):
+        # the sweep stops on real gaps above 1e-10: a gap of exactly 1e-10 is
+        # still compared, the next float up is not
+        self.assert_verdict([0.0, gap, 0.5j, 0.5j + 1e-3], 2, want)
+
+    def test_many_offsets(self):
+        # 300 real parts within 1e-10 of each other: no offset up to 299
+        # has a real gap above 1e-10, and only the imaginary parts separate
+        rng = np.random.default_rng(0)
+        points = 0.5 + 0.99e-10 * rng.random(300) + 1e-3j * rng.permutation(300)
+        self.assert_verdict(points, 18, True)
+        # the smallest and the largest real part, 299 apart in sorted order
+        lo, hi = np.argmin(points.real), np.argmax(points.real)
+        points[hi] = complex(points[hi].real, points[lo].imag)
+        self.assert_verdict(points, 18, False)
+
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf),
+    ])
+    def test_non_finite_image_raises(self, bad):
+        f = PlantedImages([0.1, 0.2j, bad], 2)
+        with pytest.raises(ValueError):
+            cKDTree(np.column_stack([f.images.real, f.images.imag]))
+        with pytest.raises(ValueError):
+            univalence_bruteforce(f, 2)
 
 
 class TestEquivalenceSweep:
