@@ -2,11 +2,12 @@
 growth tables and radial profiles, with machine-readable deterministic
 reports.
 
-Exit codes: 0 on success/pass, 1 on usage or specification errors (and on
-failed verifications), 2 on numerical-search failures.  Reports echo their
-semantic configuration and are byte-identical for identical (config, seed)
-across reruns; wall-clock time goes to stderr only, so it cannot perturb
-report diffs.
+Each subcommand takes only the flags it reads, plus --out; any other flag
+is a usage error.  Exit codes: 0 on success/pass, 1 on usage or
+specification errors (and on failed verifications), 2 on numerical-search
+failures.  JSON reports echo every argument of their subcommand but --out in
+`config` and are byte-identical for identical config across reruns;
+wall-clock time goes to stderr only, so it cannot perturb report diffs.
 """
 
 from __future__ import annotations
@@ -127,25 +128,16 @@ def _build_function(args) -> AnalyticFunction:
 
 
 def _config_echo(args) -> dict:
-    spec = None
-    if getattr(args, "spec", None):
-        spec = json.loads(args.spec)
-    elif getattr(args, "gallery", None):
-        spec = {"gallery": args.gallery}
-    echo = {
-        "command": args.command,
-        "function_spec": spec,
-        "c": args.c,
-        "seed": args.seed,
-        "samples": args.samples,
-        "grid": list(args.grid),
-        "random": args.random,
-        "which": getattr(args, "which", None),
-        "theta": args.theta,
-        "format": args.format,
-    }
-    if args.command == "verify":
-        echo["theorem"] = args.theorem
+    """The subcommand and every argument it takes but --out; --gallery and
+    --spec are echoed together as function_spec."""
+    echo = {"command": args.command}
+    for flag in _COMMANDS[args.command][2]:
+        name = flag.lstrip("-")
+        if name == "gallery":
+            echo["function_spec"] = (json.loads(args.spec) if args.spec else
+                                     {"gallery": args.gallery} if args.gallery else None)
+        elif name != "spec":
+            echo[name] = getattr(args, name)
     return echo
 
 
@@ -354,38 +346,46 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def _add_common(p: argparse.ArgumentParser, include_function: bool = True):
-    if include_function:
-        p.add_argument("--gallery", choices=tuple(_GALLERY))
-        p.add_argument("--spec", help="JSON function descriptor")
-        p.add_argument("--lam", default="-1", help="lambda for fc_lambda (complex literal)")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p.add_argument("--grid", type=_parse_grid, default=(256, 256), metavar="RxA")
-    p.add_argument("--random", type=_int_at_least(0), default=0, metavar="N")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+# argument -> add_argument keywords
+_ARGUMENTS = {
+    "theorem": dict(help="theorem id or 'all'"),
+    "--gallery": dict(choices=tuple(_GALLERY)),
+    "--spec": dict(help="JSON function descriptor"),
+    "--lam": dict(default="-1", help="lambda for fc_lambda (complex literal)"),
+    "--c": dict(type=float, default=2.0),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=_int_at_least(1), default=1000),
+    "--grid": dict(type=_parse_grid, default=(256, 256), metavar="RxA"),
+    "--random": dict(type=_int_at_least(0), default=0, metavar="N"),
+    "--theta": dict(type=float, default=0.0),
+    "--which": dict(choices=("pre_schwarzian", "schwarzian")),
+}
+
+_FUNCTION = ("--gallery", "--spec", "--lam")
+
+# subcommand -> (handler, help, the arguments it reads); each also takes --out
+_COMMANDS = {
+    "norm": (cmd_norm, "hyperbolic norm of P_f or S_f",
+             (*_FUNCTION, "--c", "--grid", "--which")),
+    "classify": (cmd_classify, "membership verdict for F(c)", (*_FUNCTION, "--c", "--samples")),
+    "verify": (cmd_verify, "run theorem verifiers",
+               ("theorem", *_FUNCTION, "--c", "--seed", "--samples", "--grid", "--random")),
+    "growth": (cmd_growth, "growth/distortion bound table (CSV)", ("--c", "--samples")),
+    "profile": (cmd_profile, "radial profile of the weighted modulus (CSV)",
+                (*_FUNCTION, "--c", "--samples", "--theta", "--which")),
+    "random-suite": (cmd_random_suite, "bound suite over seeded random members",
+                     ("--c", "--seed", "--samples", "--grid", "--random")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schwarznorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-        ("norm", cmd_norm, "hyperbolic norm of P_f or S_f"),
-        ("classify", cmd_classify, "membership verdict for F(c)"),
-        ("verify", cmd_verify, "run theorem verifiers"),
-        ("growth", cmd_growth, "growth/distortion bound table (CSV)"),
-        ("profile", cmd_profile, "radial profile of the weighted modulus (CSV)"),
-        ("random-suite", cmd_random_suite, "bound suite over seeded random members"),
-    ):
+    for name, (func, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == "verify":
-            p.add_argument("theorem", help="theorem id or 'all'")
-        if name in ("norm", "profile"):
-            p.add_argument("--which", choices=("pre_schwarzian", "schwarzian"))
-        _add_common(p, include_function=name not in ("growth", "random-suite"))
+        for flag in flags:
+            p.add_argument(flag, **_ARGUMENTS[flag])
+        p.add_argument("--out", metavar="PATH")
         p.set_defaults(func=func)
     return parser
 
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # c is validated before any computation runs
-    if getattr(args, "c", None) is not None and not (0.0 < args.c <= 3.0):
+    if not (0.0 < args.c <= 3.0):
         sys.stderr.write(f"error: --c must lie in (0, 3], got {args.c}\n")
         return 1
     try:

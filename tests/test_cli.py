@@ -227,6 +227,39 @@ class TestRandomSuite:
         assert payload["overall_pass"]
 
 
+# the flags each subcommand takes besides --out
+TAKES = {
+    "norm": ("--gallery", "--spec", "--lam", "--c", "--grid", "--which"),
+    "classify": ("--gallery", "--spec", "--lam", "--c", "--samples"),
+    "verify": ("--gallery", "--spec", "--lam", "--c", "--seed", "--samples", "--grid", "--random"),
+    "growth": ("--c", "--samples"),
+    "profile": ("--gallery", "--spec", "--lam", "--c", "--samples", "--theta", "--which"),
+    "random-suite": ("--c", "--seed", "--samples", "--grid", "--random"),
+}
+POSITIONAL = {"verify": ["thm2.2"]}
+# a value for every flag a subcommand had, each unlike its default and ECHO_BASE
+FLAG_VALUES = {
+    "--gallery": "koebe",
+    "--spec": '{"kind":"polynomial","coeffs":[0,1,0.1]}',
+    "--lam": "1j",
+    "--c": "1.5",
+    "--seed": "3",
+    "--samples": "120",
+    "--grid": "9x7",
+    "--random": "1",
+    "--theta": "0.5",
+    "--which": "schwarzian",
+    "--format": "csv",
+}
+# small runs of the JSON subcommands
+ECHO_BASE = {
+    "norm": ["--gallery", "fc_lambda", "--which", "pre_schwarzian", "--grid", "8x8"],
+    "classify": ["--gallery", "fc_lambda", "--samples", "100"],
+    "verify": [*POSITIONAL["verify"], "--gallery", "fc_lambda", "--samples", "100", "--grid", "8x8"],
+    "random-suite": ["--samples", "100", "--grid", "8x8"],
+}
+
+
 class TestDeterminismAndIO:
     def test_rerun_gives_identical_bytes(self, capsys):
         args = ["verify", "thm2.3", "--c", "2", "--random", "2", "--seed", "9"]
@@ -270,23 +303,38 @@ class TestDeterminismAndIO:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--spec", '{"kind":"nope"}'],
-            ["--gallery", "koebe"],
-            ["--lam", "0.5"],
-        ],
+        "command, flag",
+        [(command, flag) for command, flags in TAKES.items()
+         for flag in FLAG_VALUES if flag not in flags],
+        ids=lambda v: v,
     )
-    def test_random_suite_rejects_function_flags(self, capsys, flags):
-        # random-suite has fixed targets; a function flag must not be ignored
+    def test_random_suite_rejects_function_flags(self, capsys, command, flag):
+        # every subcommand takes only the flags it reads; an unread flag must
+        # not be accepted and ignored (random-suite's fixed targets, --format)
         with pytest.raises(SystemExit) as exc:
-            main(["random-suite", "--random", "1", *flags])
+            main([command, *POSITIONAL.get(command, []), flag, FLAG_VALUES[flag]])
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
         # verify takes the same spec and fails on it
         assert main(["verify", "thm2.3", "--spec", '{"kind":"nope"}']) == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in TAKES.items() if command in ECHO_BASE
+         for flag in flags],
+        ids=lambda v: v,
+    )
+    def test_config_echoes_every_flag(self, capsys, command, flag):
+        # two runs that differ in one flag must differ in config, under the
+        # flag's name (function_spec for --gallery and --spec)
+        base = [command, *ECHO_BASE[command]]
+        _, before = run_json(capsys, *base)
+        _, after = run_json(capsys, *base, flag, FLAG_VALUES[flag])
+        moved = {k for k in before["config"].keys() | after["config"].keys()
+                 if before["config"].get(k) != after["config"].get(k)}
+        assert moved == {"function_spec" if flag in ("--gallery", "--spec") else flag[2:]}
 
     def test_smallest_counts_accepted(self, capsys):
         code, payload = run_json(capsys, "random-suite", "--random", "0")

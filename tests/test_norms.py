@@ -2,10 +2,12 @@
 
 import cmath
 import gc
+import json
 import math
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from schwarznorm.errors import DivisionBySingular, SearchUnreliable
 from schwarznorm.functions import (
     ClassSpec,
     Composition,
+    ExtremalFc,
+    ExtremalFcStar,
     Koebe,
     Mobius,
     Polynomial,
@@ -409,3 +413,57 @@ class TestNelderMeadPort:
         assert len(runs["ours"]) == 8
         assert runs["ours"] == runs["scipy"]
         assert estimates["ours"].to_json_dict() == estimates["scipy"].to_json_dict()
+
+
+NORM_SWEEP_CORPUS = Path(__file__).parent / "data" / "norm_sweep_estimates.json"
+
+
+def norm_sweep_panel():
+    """The 122 searches of the benchmark's norm-sweep panel: for c in {1, 2, 3},
+    F and F0, the members random_member(spec, d, d) for d = 0..8; then Koebe,
+    f_c and f_c*; P and S for each."""
+    maps = [(f"random_member(ClassSpec({c}, {f0}), {d}, {d})", random_member(ClassSpec(c, f0), d, d))
+            for c in (1.0, 2.0, 3.0) for f0 in (False, True) for d in range(9)]
+    maps.append(("Koebe()", Koebe()))
+    for c in (1.0, 2.0, 3.0):
+        maps += [(f"ExtremalFc({c})", ExtremalFc(c)), (f"ExtremalFcStar({c})", ExtremalFcStar(c))]
+    return [(label, f, which) for label, f in maps for which in ("pre_schwarzian", "schwarzian")]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def estimate_moves(got, want) -> list:
+    """The fields of a NormEstimate dict that moved beyond what a change in
+    the last bits of one evaluation moves.  Such a change (s' by the product
+    rule in the scalar hook, tried on this panel) moved values by 2.0e-15
+    relative, argmaxes by 9.5e-9, interior extrapolations by 4.5e-7 and
+    refinement_iterations by up to 13, and flipped no boundary flag; so
+    interior extrapolations count only as present or absent, and iteration
+    counts not at all."""
+    if set(got) != set(want):
+        return [f"keys {sorted(got)}"]
+    moves = [k for k in ("value", "certified_lower") if not _close(got[k], want[k])]
+    moves += [k for k in ("boundary_attained", "grid_resolution") if got[k] != want[k]]
+    ext, want_ext = got["extrapolated"], want["extrapolated"]
+    if (ext is None) != (want_ext is None) or (
+            want["boundary_attained"] and want_ext is not None and not _close(ext, want_ext)):
+        moves.append("extrapolated")
+    if any(abs(g - w) > 1e-6 for g, w in zip(got["argmax"], want["argmax"], strict=True)):
+        moves.append("argmax")
+    return [f"{k}: {got.get(k)!r}, corpus {want.get(k)!r}" for k in moves]
+
+
+def test_norm_sweep_matches_the_corpus():
+    # committed estimates, compared by value so that the test holds across
+    # machines; the file is json.dump of [{"target", "which", "estimate":
+    # hyperbolic_norm(f, which).to_json_dict()}] over norm_sweep_panel()
+    want = json.loads(NORM_SWEEP_CORPUS.read_text())
+    panel = norm_sweep_panel()
+    assert [(e["target"], e["which"]) for e in want] == [(t, w) for t, _, w in panel]
+    moved = [f"{target} {which}: {move}"
+             for (target, f, which), entry in zip(panel, want)
+             for move in estimate_moves(hyperbolic_norm(f, which).to_json_dict(),
+                                        entry["estimate"])]
+    assert not moved, moved
