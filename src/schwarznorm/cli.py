@@ -161,8 +161,9 @@ def cmd_classify(args) -> int:
 
 
 def _target_pools(args) -> dict:
-    """Random target sets, built once per run so that memoized norm searches
-    and injectivity verdicts are shared between theorem ids."""
+    """Every target of a run, built once so that the weak-keyed memos of norm
+    searches and injectivity verdicts serve each theorem id that checks it:
+    the random pools as (label, map) lists, each default target by label."""
     seeds = [args.seed * 100000 + i for i in range(args.random)]
 
     def members(variant: str, min_degree: int = 0) -> list:
@@ -177,6 +178,13 @@ def _target_pools(args) -> dict:
         "F_deg1": members("F", min_degree=1),
         "schur": [(f"schur[{i}]", random_schur(seed, 1 + i % 8))
                   for i, seed in enumerate(seeds)],
+        **{name: make_gallery(name) for name in ("identity", "koebe", "half_plane")},
+        "fc": ExtremalFc(args.c),
+        "fc_star": ExtremalFcStar(args.c),
+        "fc_lambda[1]": ExtremalFcLambda(args.c, 1.0),
+        "fc_lambda[-1]": ExtremalFcLambda(args.c, -1.0),
+        "schur[z]": SchurFunction.blaschke([0.0]),
+        "schur[0]": SchurFunction.constant_map(0.0),
     }
 
 
@@ -225,65 +233,55 @@ def _threshold(tid: str, f, args) -> dict:
     }
 
 
-def _maps(*names):
-    """Default targets: the named gallery maps at the run's c."""
-    return lambda a: [(name, _GALLERY[name](a)) for name in names]
+# thm2.2 samples at most this many points, whatever --samples says: the
+# growth tables run one adaptive-Simpson pair per sampled radius.  Each
+# entry's "samples" field records the count used.
+_GROWTH_SAMPLES = 200
 
+_THRESHOLD_MAPS = ("identity", "koebe", "half_plane", "fc_star")
+_UNIT_SCHURS = ("schur[z]", "schur[0]")
 
-def _growth_defaults(args) -> list:
-    return [
-        ("fc_lambda[1]", ExtremalFcLambda(args.c, 1.0)),
-        ("fc_lambda[-1]", ExtremalFcLambda(args.c, -1.0)),
-        ("identity", make_gallery("identity")),
-    ]
-
-
-def _unit_schurs(args) -> list:
-    return [
-        ("schur[z]", SchurFunction.blaschke([0.0])),
-        ("schur[0]", SchurFunction.constant_map(0.0)),
-    ]
-
-
-_THRESHOLD_MAPS = _maps("identity", "koebe", "half_plane", "fc_star")
-
-# theorem id -> (default targets, random pool, check)
+# theorem id -> (labels of its default targets, random pool, check); the
+# checks of the "schur" pool take Schur functions, not analytic maps
 _THEOREMS = {
-    "thm2.1.ii": (_maps("fc", "identity"), "F", _thm21(0)),
-    "thm2.1.iii": (_maps("fc", "identity"), "F", _thm21(1)),
-    "thm2.2": (_growth_defaults, "F0", lambda f, a: verify_growth_distortion(
-        f, a.c, min(a.samples, 200)).to_json_dict()),
-    "thm2.3": (_maps("fc_star", "identity"), "F0",
+    "thm2.1.ii": (("fc", "identity"), "F", _thm21(0)),
+    "thm2.1.iii": (("fc", "identity"), "F", _thm21(1)),
+    "thm2.2": (("fc_lambda[1]", "fc_lambda[-1]", "identity"), "F0", lambda f, a:
+               verify_growth_distortion(f, a.c, min(a.samples, _GROWTH_SAMPLES)).to_json_dict()),
+    "thm2.3": (("fc_star", "identity"), "F0",
                lambda f, a: verify_thm23(f, a.c, grid=a.grid).to_json_dict()),
-    "thm2.4": (_maps("fc_star", "identity"), "F0",
+    "thm2.4": (("fc_star", "identity"), "F0",
                lambda f, a: verify_thm24(f, a.c, grid=a.grid).to_json_dict()),
-    "thm2.5": (_maps("fc_star"), "F_deg1", _thm25),
-    "lemmaA": (_unit_schurs, "schur", lambda s, a: verify_lemmaA(s, a.samples).to_json_dict()),
-    "psi": (_unit_schurs, "schur", lambda s, a: verify_psi(s, a.samples).to_json_dict()),
+    "thm2.5": (("fc_star",), "F_deg1", _thm25),
+    "lemmaA": (_UNIT_SCHURS, "schur", lambda s, a: verify_lemmaA(s, a.samples).to_json_dict()),
+    "psi": (_UNIT_SCHURS, "schur", lambda s, a: verify_psi(s, a.samples).to_json_dict()),
     "nehari": (_THRESHOLD_MAPS, "F0", partial(_threshold, "nehari")),
     "becker": (_THRESHOLD_MAPS, "F0", partial(_threshold, "becker")),
     "ahlfors-weill": (_THRESHOLD_MAPS, "F0", partial(_threshold, "ahlfors-weill")),
 }
 
 
-def _run_verifier(tid: str, args, pools: dict) -> list[dict]:
-    """Entries for one theorem id: the requested target, else the id's
-    defaults, then its random pool."""
-    defaults, pool, check = _THEOREMS[tid]
-    requested = [("target", _build_function(args))] if args.spec or args.gallery else []
-    if pool == "schur":
-        requested = []  # Schur-function checks take no analytic map
-    targets = (requested or defaults(args)) + pools[pool]
-    return [{"target": label, **check(f, args)} for label, f in targets]
+def _run_verifier(tid: str, args, targets: dict) -> list[dict]:
+    """Entries for one theorem id, from the run's targets: the requested map
+    (but not for Schur-function checks), else the id's defaults, then its pool."""
+    labels, pool, check = _THEOREMS[tid]
+    if "target" in targets and pool != "schur":
+        labels = ("target",)
+    entries = [(label, targets[label]) for label in labels] + targets[pool]
+    return [{"target": label, **check(f, args)} for label, f in entries]
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     if args.theorem != "all" and args.theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {args.theorem!r}")
-    pools = _target_pools(args)
     ids = THEOREM_IDS if args.theorem == "all" else [args.theorem]
-    results = [entry for tid in ids for entry in _run_verifier(tid, args, pools)]
+    targets = _target_pools(args)
+    if args.spec or args.gallery:
+        if args.theorem != "all" and _THEOREMS[args.theorem][1] == "schur":
+            raise ValueError(f"{args.theorem} checks Schur functions: no --gallery or --spec")
+        targets["target"] = _build_function(args)
+    results = [entry for tid in ids for entry in _run_verifier(tid, args, targets)]
     return _emit(args, results, start, all(e["passed"] for e in results))
 
 

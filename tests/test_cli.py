@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import schwarznorm
+from schwarznorm import cli, norms, theorems
 from schwarznorm.cli import main
 from schwarznorm.functions import ExtremalFc
 from schwarznorm.theorems import verify_thm21_margins
@@ -154,6 +155,68 @@ class TestVerify:
             capsys, "verify", "psi", "--random", "3", "--samples", "300"
         )
         assert code == 0 and payload["overall_pass"]
+
+    @pytest.mark.parametrize("tid", ["lemmaA", "psi"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gallery", "koebe"), ("--spec", '{"kind":"polynomial","coeffs":[0,1,0.1]}')],
+    )
+    def test_schur_checks_alone_reject_function_flags(self, capsys, tid, flag, value):
+        # lemmaA and psi check Schur functions: a map named for them alone
+        # would be echoed in config and never checked
+        assert main(["verify", tid, flag, value, "--samples", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no --gallery or --spec" in captured.err
+
+    def test_all_with_a_map_keeps_the_schur_defaults(self, capsys):
+        code, payload = run_json(capsys, "verify", "all", "--gallery", "identity",
+                                 "--samples", "100", "--grid", "16x16")
+        assert code == 0
+        targets = {}
+        for entry in payload["results"]:
+            targets.setdefault(entry["theorem_id"], []).append(entry["target"])
+        assert targets.pop("lemmaA") == targets.pop("psi") == ["schur[z]", "schur[0]"]
+        assert all(labels == ["target"] for labels in targets.values())
+        assert len(targets) == 9
+
+    @pytest.mark.parametrize("samples, used", [(None, 200), ("100", 100)])
+    def test_thm22_caps_its_sample_count(self, capsys, samples, used):
+        # the growth tables cost one adaptive-Simpson pair per radius, so
+        # thm2.2 samples min(--samples, 200) points and records that count
+        argv = ["verify", "thm2.2", "--random", "1"] + (["--samples", samples] if samples else [])
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["config"]["samples"] == int(samples or 1000)
+        assert [e["samples"] for e in payload["results"]] == [used] * 4
+
+    @pytest.mark.parametrize(
+        "extra, searches, grids",
+        [([], 8, 4), (["--gallery", "koebe"], 2, 1)],
+        ids=["defaults", "koebe"],
+    )
+    def test_each_target_is_searched_once_per_quantity(self, capsys, monkeypatch, extra,
+                                                       searches, grids):
+        # The defaults are fc, identity, fc_lambda[+-1], fc_star, koebe,
+        # half_plane and two Schur maps; P and S are searched on the four
+        # maps that thm2.3-2.5 and the thresholds check, and brute-force
+        # injectivity runs on the four threshold maps.  Koebe alone: its P
+        # and S, and one grid.  Executed searches are counted, not memo hits.
+        ran = {"searches": 0, "grids": 0}
+        top_cells, bruteforce = norms._top_cells, cli.univalence_bruteforce
+
+        def counting_top_cells(w, k):  # runs once per executed search
+            ran["searches"] += 1
+            return top_cells(w, k)
+
+        def counting_bruteforce(f, gridsize=100):
+            ran["grids"] += gridsize not in theorems._VERDICTS.get(f, {})
+            return bruteforce(f, gridsize)
+
+        monkeypatch.setattr(norms, "_top_cells", counting_top_cells)
+        monkeypatch.setattr(cli, "univalence_bruteforce", counting_bruteforce)
+        run(capsys, "verify", "all", "--c", "2", *extra, "--random", "0", "--grid", "16x16")
+        assert ran == {"searches": searches, "grids": grids}
 
 
 class TestGrowthAndProfile:
