@@ -146,30 +146,48 @@ class SchurFunction:
         return self._pass(z, True)
 
     def _pass(self, z, need_deriv: bool):
-        # b_j = (z-a_j)/(1-conj(a_j) z), each denominator formed once; arrays
-        # take s' by the product rule, scalars by the leave-one-out sum
-        # rotation * sum_i b_i' prod_{j!=i} b_j, which certified_lower reads
-        scalar = not (isinstance(z, np.ndarray) and z.ndim)  # plain complex: the hot path
-        z = complex(z) if scalar else np.asarray(z, dtype=complex)
-        out = self._lead if scalar else np.full_like(z, self._lead)
-        d = 0j if scalar else np.zeros_like(z)
-        factors, terms = [], []
+        if not (isinstance(z, np.ndarray) and z.ndim):
+            return self._scalar_pass(complex(z), need_deriv)
+        # b_j = (z-a_j)/(1-conj(a_j) z), each denominator formed once; s' by
+        # the product rule, using s of the factors before this one
+        z = np.asarray(z, dtype=complex)
+        out, d = np.full_like(z, self._lead), np.zeros_like(z)
         for a, ca, mass in self._factors:
             den = 1.0 - ca * z
-            if need_deriv and scalar:
-                factors.append((z - a) / den)
-                terms.append(mass / den ** 2)
-            elif need_deriv:  # uses s of the factors before this one
+            if need_deriv:
                 d = d * ((z - a) / den) + out * (mass / den ** 2)
             # (z - a) stays an unnamed temporary: from 256 KiB on, numpy
             # multiplies into it in place, and naming it would swap the
             # operands of a complex multiply that is not bitwise commutative
             out = out * (z - a) / den
-        for i, term in enumerate(terms):
-            for fj in factors[:i] + factors[i + 1:]:
-                term *= fj
+        return out, d
+
+    def _scalar_pass(self, z: complex, need_deriv: bool) -> tuple[complex, complex]:
+        """(s(z), s'(z)) at a plain complex, with s' = 0j unless asked for:
+        s' by the leave-one-out sum rotation * sum_i b_i' prod_{j!=i} b_j,
+        each product taken in factor order, whose bits certified_lower reads."""
+        out = self._lead
+        if not need_deriv:
+            for a, ca, _ in self._factors:
+                out = out * (z - a) / (1.0 - ca * z)
+            return out, 0j
+        # b_i' takes the factors before it when it is formed, and each later
+        # factor as it comes
+        factors, terms = [], []
+        for a, ca, mass in self._factors:
+            den = 1.0 - ca * z
+            zma = z - a
+            b = zma / den
+            terms = [term * b for term in terms]
+            terms.append(math.prod(factors, start=mass / den ** 2))
+            factors.append(b)
+            out = out * zma / den
+        if not terms:
+            return out, 0j
+        d = 0j
+        for term in terms:
             d += term
-        return out, (self.rotation * d if terms else d)
+        return out, self.rotation * d
 
     def jet(self, center: complex, order: int) -> TaylorJet:
         out = jet_constant(self._lead, order, center)
@@ -298,7 +316,7 @@ class Identity(AnalyticFunction):
         return np.ones_like(zs)
 
     def _preschwarzian(self, zs):
-        return np.zeros_like(zs)
+        return 0j if type(zs) is complex else np.zeros_like(zs)
 
     _schwarzian = _preschwarzian
 
@@ -363,7 +381,8 @@ class Mobius(AnalyticFunction):
 
     def _den(self, zs):
         den = self.c * zs + self.d
-        if np.any(np.abs(den) <= SINGULAR_TOL):
+        if (abs(den) <= SINGULAR_TOL if type(den) is complex
+                else np.any(np.abs(den) <= SINGULAR_TOL)):
             raise DivisionBySingular("Moebius pole hit inside the disk")
         return den
 
@@ -378,7 +397,7 @@ class Mobius(AnalyticFunction):
 
     def _schwarzian(self, zs):
         self._den(zs)  # a pole inside the disk raises, as it does for P_f
-        return np.zeros_like(zs)
+        return 0j if type(zs) is complex else np.zeros_like(zs)
 
     def jet(self, z, order):
         z = complex(z)
@@ -599,18 +618,21 @@ class SubordinationMember(AnalyticFunction):
         self.variant = variant
         self.seed = seed
 
-    def _phi(self, zs):
-        s = self.schur.value(zs)
-        return zs * s if self.variant == "F0" else s
-
-    # A plain complex stays a plain complex in the hooks below: the Schur
-    # pass dispatches on its argument.
+    # A plain complex stays a plain complex in the hooks below: it goes to
+    # the scalar Schur pass, anything else to the dispatching one.
     def _preschwarzian(self, zs):
-        phi = self._phi(zs)
+        if type(zs) is complex:
+            s = self.schur._scalar_pass(zs, False)[0]
+        else:
+            s = self.schur.value(zs)
+        phi = zs * s if self.variant == "F0" else s
         return self.c * phi / (1.0 - zs * phi)
 
     def _schwarzian(self, zs):
-        s, ds = self.schur.value_and_deriv(zs)
+        if type(zs) is complex:
+            s, ds = self.schur._scalar_pass(zs, True)
+        else:
+            s, ds = self.schur.value_and_deriv(zs)
         phi, dphi = (zs * s, s + zs * ds) if self.variant == "F0" else (s, ds)
         return (
             self.c

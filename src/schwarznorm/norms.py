@@ -78,12 +78,21 @@ def _check_which(which: str) -> int:
 
 
 def weighted_modulus(f: AnalyticFunction, z: complex, which: str) -> float:
-    """(1-|z|^2)|P_f(z)| or (1-|z|^2)^2 |S_f(z)|."""
+    """(1-|z|^2)|P_f(z)| or (1-|z|^2)^2 |S_f(z)| at one point.
+
+    The one scalar evaluation of the package: the search certifies every
+    candidate through it.  It runs the kind's ``_preschwarzian`` or
+    ``_schwarzian`` hook on a plain complex, with the checks of the public
+    scalar query: |z| < 1, and :class:`DivisionBySingular` where the hook
+    gives NaN (a zero of f').
+    """
     power = _check_which(which)
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("weighted modulus requested outside the disk")
-    val = f.preschwarzian(z) if power == 1 else f.schwarzian(z)
+    val = complex(f._preschwarzian(z) if power == 1 else f._schwarzian(z))
+    if val != val:  # nan
+        raise DivisionBySingular(f"f' vanishes at {z}")
     return (1.0 - abs(z) ** 2) ** power * abs(val)
 
 
@@ -147,22 +156,21 @@ def _nelder_mead(
     Returns the final simplex and its values, best first, and the
     iteration count (scipy's ``nit``).
     """
-    sim = list(simplex)
-    fsim = [func(p) for p in sim]
-
-    def _sort():  # stable insertion sort of the three vertices by value
-        if fsim[1] < fsim[0]:
-            sim[0], sim[1], fsim[0], fsim[1] = sim[1], sim[0], fsim[1], fsim[0]
-        if fsim[2] < fsim[1]:
-            sim[1], sim[2], fsim[1], fsim[2] = sim[2], sim[1], fsim[2], fsim[1]
-            if fsim[1] < fsim[0]:
-                sim[0], sim[1], fsim[0], fsim[1] = sim[1], sim[0], fsim[1], fsim[0]
-
-    _sort()
-    nit = 1
-    while nit < maxiter:
-        (x0, y0), (x1, y1), (x2, y2) = sim
-        f0, f1, f2 = fsim
+    p0, p1, p2 = simplex
+    f0, f1, f2 = func(p0), func(p1), func(p2)
+    nit = 0
+    while True:
+        # stable insertion sort of the three vertices by value
+        if f1 < f0:
+            p0, p1, f0, f1 = p1, p0, f1, f0
+        if f2 < f1:
+            p1, p2, f1, f2 = p2, p1, f2, f1
+            if f1 < f0:
+                p0, p1, f0, f1 = p1, p0, f1, f0
+        nit += 1
+        if nit >= maxiter:
+            break
+        (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
         if (
             abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol
             and abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol
@@ -175,9 +183,9 @@ def _nelder_mead(
         if fxr < f0:
             xe = (3 * xb - 2 * x2, 3 * yb - 2 * y2)
             fxe = func(xe)
-            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            p2, f2 = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < f1:
-            sim[2], fsim[2] = xr, fxr
+            p2, f2 = xr, fxr
         else:
             if fxr < f2:  # outside contraction
                 xc = (1.5 * xb - 0.5 * x2, 1.5 * yb - 0.5 * y2)
@@ -188,15 +196,13 @@ def _nelder_mead(
                 fxc = func(xc)
                 accept = fxc < f2
             if accept:
-                sim[2], fsim[2] = xc, fxc
+                p2, f2 = xc, fxc
             else:  # shrink toward the best vertex
-                for j in (1, 2):
-                    xj, yj = sim[j]
-                    sim[j] = (x0 + 0.5 * (xj - x0), y0 + 0.5 * (yj - y0))
-                    fsim[j] = func(sim[j])
-        nit += 1
-        _sort()
-    return sim, fsim, nit
+                p1 = (x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0))
+                f1 = func(p1)
+                p2 = (x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0))
+                f2 = func(p2)
+    return [p0, p1, p2], [f0, f1, f2], nit
 
 
 def hyperbolic_norm(
@@ -232,33 +238,37 @@ def hyperbolic_norm(
         )
     w_clean = np.where(singular, -np.inf, w)
 
-    # Deterministic scalar evaluation used for every certified candidate,
-    # so re-evaluating weighted_modulus at the reported argmax reproduces
-    # certified_lower exactly.  Evaluated once per z: at r = 0 every theta is z = 0.
+    # Every certified candidate is evaluated by weighted_modulus (looked up
+    # at call time), so re-evaluating it at the reported argmax reproduces
+    # certified_lower exactly.  Evaluated once per z: at r = 0 every theta is
+    # z = 0.  NaN marks a singular point.
     seen: dict[complex, float] = {}
-
-    def _scalar(r: float, theta: float) -> float:
-        z = r * cmath.exp(1j * theta)
-        if z not in seen:
-            try:
-                seen[z] = weighted_modulus(f, z, which)
-            except DivisionBySingular:
-                seen[z] = math.nan
-        return seen[z]
-
     best = [-math.inf, 0.0, 0.0]
+    two_pi = 2.0 * math.pi
 
-    def _record(r: float, theta: float) -> float:
-        val = _scalar(r, theta)
-        if math.isnan(val):  # a pole of P_f or S_f: the norm is infinite
+    def objective(x) -> float:
+        """Minus the weighted modulus at polar (r, theta) = x, recorded in
+        ``best``; r is clamped to the cap and theta taken mod 2 pi, where
+        the grid angles live."""
+        r = min(abs(x[0]), R_CAP)
+        theta = x[1] % two_pi
+        z = r * cmath.exp(1j * theta)
+        val = seen.get(z)
+        if val is None:
+            try:
+                val = weighted_modulus(f, z, which)
+            except DivisionBySingular:
+                val = math.nan
+            seen[z] = val
+        if val != val:  # a pole of P_f or S_f: the norm is infinite
             raise SearchUnreliable(f"{which} is singular at (r, theta) = ({r}, {theta})")
         if val > best[0] or (val == best[0] and (r, theta) < (best[1], best[2])):
             best[0], best[1], best[2] = val, r, theta
-        return val
+        return -val
 
     starts = [np.unravel_index(k, w.shape) for k in _top_cells(w_clean, _REFINE_STARTS)]
     for i, j in starts:
-        _record(float(rs[i]), float(thetas[j]))
+        objective((float(rs[i]), float(thetas[j])))
 
     total_iters = 0
     dtheta = 2.0 * np.pi / na
@@ -269,12 +279,6 @@ def hyperbolic_norm(
         dr = float(rs[min(i + 1, nr - 1)] - rs[i]) or float(rs[i] - rs[i - 1])
         # starts pinned at the cap step inward, else the simplex degenerates
         r1 = r0 + dr if r0 + dr <= R_CAP else r0 - dr
-
-        def objective(x):
-            r = min(abs(x[0]), R_CAP)
-            theta = x[1] % (2.0 * math.pi)  # grid angles live in [0, 2*pi)
-            return -_record(r, theta)
-
         _, _, nit = _nelder_mead(
             objective,
             [(r0, t0), (r1, t0), (r0, t0 + dtheta)],
@@ -291,7 +295,16 @@ def hyperbolic_norm(
     # along the best ray and compare the limit against the certified bound.
     extrapolated = None
     hs = _RICHARDSON_H0 * 0.5 ** np.arange(4)
-    ray_vals = [_scalar(1.0 - h, arg_theta) for h in hs]
+    ray = cmath.exp(1j * arg_theta)
+    ray_vals = []
+    for h in hs:
+        z = (1.0 - h) * ray
+        if z not in seen:
+            try:
+                seen[z] = weighted_modulus(f, z, which)
+            except DivisionBySingular:
+                seen[z] = math.nan
+        ray_vals.append(seen[z])
     if not any(math.isnan(v) for v in ray_vals):
         extrapolated = richardson_limit(np.array(ray_vals))
     boundary = (

@@ -266,17 +266,30 @@ def _growth_tables(c: float, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return low, high
 
 
+# The growth tables of the last (c, samples) pair checked, as
+# ((c, samples), (low, high)); None before the first check.
+_growth_slot: tuple | None = None
+
+
 def verify_growth_distortion(
     f: AnalyticFunction, c: float, samples: int = 200
 ) -> BoundReport:
     """Check all four growth/distortion bounds at sampled points.
 
     Sampling stays at radii <= 0.99: the bounds hold on the whole disk and
-    the comfortable margin keeps path-integration noise irrelevant.
+    the comfortable margin keeps path-integration noise irrelevant.  The
+    growth tables (one adaptive-Simpson pair per sampled radius) depend on
+    c and the sample count alone, so the tables of the last (c, samples)
+    pair are kept in one module slot, ``_growth_slot``: consecutive checks
+    at one c, as ``verify all`` runs them, compute them once.
     """
+    global _growth_slot
     zs = disk_samples(samples, VALUE_SAMPLE_RADIUS)
     rs = np.abs(zs)
-    bounds_low, bounds_high = _growth_tables(c, rs)
+    slot, key = _growth_slot, (c, samples)
+    if slot is None or slot[0] != key:
+        slot = _growth_slot = (key, _growth_tables(c, rs))
+    bounds_low, bounds_high = slot[1]
     half = c / 2.0
     fv, fp = f._value_and_deriv(zs)
     fv, fp = np.abs(fv), np.abs(fp)
@@ -397,13 +410,16 @@ def lemmaA_margin(phi: SchurFunction, z: complex) -> float:
     1 - |phi(0)|^2 (with phi(0) = 0 this is the plain Schwarz bound
     |z|^2/(1-|z|^2) used in the Schwarzian norm proof).
     """
-    z = complex(z)
+    return _lemmaA_margin(phi, complex(z), abs(complex(phi.value(0j))))
+
+
+def _lemmaA_margin(phi: SchurFunction, z: complex, p0: float) -> float:
+    """``lemmaA_margin`` at a plain complex z, given p0 = |phi(0)|."""
     if abs(z) >= 1.0:
         raise DomainError("lemma margin requested outside the disk")
-    pz = complex(phi.value(z))
+    pz = phi._scalar_pass(z, False)[0]
     if abs(pz) >= 1.0 - 1e-12:
         raise ValueError("|phi(z)| too close to 1 for the margin to be finite")
-    p0 = abs(complex(phi.value(0j)))
     lhs = abs(pz) ** 2 / (1.0 - abs(pz) ** 2)
     rhs = (p0 + abs(z)) ** 2 / ((1.0 - p0 * p0) * (1.0 - abs(z) ** 2))
     return rhs - lhs
@@ -415,7 +431,7 @@ def psi_identity_residual(phi: SchurFunction, z: complex) -> float:
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("identity residual requested outside the disk")
-    pz = complex(phi.value(z))
+    pz = phi._scalar_pass(z, False)[0]
     den = 1.0 - z * pz
     if abs(den) <= SINGULAR_TOL:
         raise DivisionBySingular("1 - z phi(z) vanished")
@@ -429,13 +445,14 @@ def psi_identity_residual(phi: SchurFunction, z: complex) -> float:
 
 def verify_lemmaA(phi: SchurFunction, samples: int = 1000) -> BoundReport:
     zs = disk_samples(samples, SCHUR_SAMPLE_RADIUS)
-    margins = np.array([lemmaA_margin(phi, z) for z in zs])
+    p0 = abs(complex(phi.value(0j)))
+    margins = np.array([_lemmaA_margin(phi, z, p0) for z in zs.tolist()])
     return _report("lemmaA", samples, margins, zs)
 
 
 def verify_psi(phi: SchurFunction, samples: int = 1000) -> BoundReport:
     zs = disk_samples(samples, SCHUR_SAMPLE_RADIUS)
-    resid = np.array([psi_identity_residual(phi, z) for z in zs])
+    resid = np.array([psi_identity_residual(phi, z) for z in zs.tolist()])
     margins = 1e-10 - resid
     return _report("psi", samples, margins, zs)
 
@@ -479,8 +496,10 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
     Returns False when two distinct nodes are mapped within 1e-10 of each
     other: dx*dx + dy*dy <= 1e-10 * 1e-10 on the float differences of their
     images.  The images are sorted by real part and compared at offsets
-    k = 1, 2, ...; the sweep stops at the first offset whose real gaps all
-    exceed 1e-10, as the gaps only grow with k, so no close pair is missed.
+    k = 1, 2, ...; as the real gap of a pair (i, i + k) only grows with k,
+    image i leaves the sweep at the first offset where that gap exceeds
+    1e-10, and the sweep stops when none is left, so no close pair is
+    missed.
     Raises ``ValueError`` when an image is not finite.  The evaluation grows
     with gridsize**2, hence the gridsize cap.
     """
@@ -496,13 +515,18 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
         raise ValueError("f is not finite on the brute-force injectivity grid")
     v = np.sort(vals)  # lexicographic: by real part first
     result = True
+    near = np.arange(v.size - 1)  # i whose pair (i, i + k) is still in reach
     for k in range(1, v.size):
-        d = v[k:] - v[:-k]
-        if not np.any(d.real <= 1e-10):
+        d = v[near + k] - v[near]
+        close_re = d.real <= 1e-10
+        if not close_re.any():
             break
+        near, d = near[close_re], d[close_re]
         if np.any(d.real * d.real + d.imag * d.imag <= 1e-10 * 1e-10):
             result = False
             break
+        if near[-1] + k + 1 == v.size:  # its pair at offset k + 1 is off the end
+            near = near[:-1]
     memo[gridsize] = result
     return result
 

@@ -1,5 +1,7 @@
 """Function zoo: gallery values, extremal families, random members, jets."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -580,6 +582,14 @@ SCALAR_KINDS = {
     "fc_star": lambda: make_extremal_fc_star(3.0),
     "member_F": lambda: random_member(ClassSpec(2.0), 4, 4),
     "member_F0": lambda: random_member(ClassSpec(1.5, True), 6, 6),
+    # a pure rotation, one factor and the top degree reach every branch of
+    # the scalar Schur pass; a --spec member may carry a constant s
+    "member_degree_0": lambda: random_member(ClassSpec(2.0), 7, 0),
+    "member_degree_1": lambda: random_member(ClassSpec(1.5, True), 8, 1),
+    "member_degree_8": lambda: random_member(ClassSpec(3.0), 9, 8),
+    "member_constant_spec": lambda: from_descriptor(json.loads(
+        '{"kind": "subordination", "params": {"c": 2.5, "variant": "F0", '
+        '"schur": {"kind": "constant", "value": [0.3, -0.4]}}}')),
     "composition_koebe": lambda: Composition(Koebe(), Mobius(0.5, 0.0, 0.0, 1.0)),
     "composition_polynomial": lambda: Composition(Polynomial([0, 1, 0.3]), make_extremal_fc(1.2)),
     "composition_member": lambda: Composition(half_plane(), random_member(ClassSpec(1.0), 3, 2)),

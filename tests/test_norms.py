@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from schwarznorm import norms
-from schwarznorm.errors import DivisionBySingular, SearchUnreliable
+from schwarznorm.errors import DivisionBySingular, DomainError, SearchUnreliable
 from schwarznorm.functions import (
     ClassSpec,
     Composition,
@@ -57,6 +57,43 @@ class TestWeightedModulus:
     def test_which_validation(self):
         with pytest.raises(ValueError):
             weighted_modulus(make_gallery("identity"), 0j, "third_order")
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: make_gallery("identity"), Koebe, lambda: Mobius(1.0, 0.3, 0.5j, 1.0),
+         lambda: Polynomial([0, 1, 0.4 - 0.1j, 0.2j]), lambda: make_extremal_fc_star(2.5),
+         lambda: random_member(ClassSpec(2.0), 4, 0), lambda: random_member(ClassSpec(1.5, True), 6, 6),
+         lambda: Composition(Koebe(), Mobius(0.5, 0.0, 0.0, 1.0))],
+        ids=["identity", "koebe", "mobius", "polynomial", "fc_star", "member_0", "member_6",
+             "composition"],
+    )
+    def test_hook_route_gives_the_public_query_bits(self, build):
+        # weighted_modulus runs the kind's hook itself; the public scalar
+        # query runs the same hook behind the same checks
+        f = build()
+        rng = np.random.default_rng(8)
+        zs = 0.999 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+        for z in [0j, 0.5, *zs.tolist()]:
+            w = 1.0 - abs(z) ** 2
+            for which, query, power in (("pre_schwarzian", f.preschwarzian, 1),
+                                        ("schwarzian", f.schwarzian, 2)):
+                want = w ** power * abs(query(z))
+                assert weighted_modulus(f, z, which).hex() == want.hex(), (which, z)
+
+    @pytest.mark.parametrize(
+        "f, z, which",
+        [(Polynomial([0, 0, 1]), 0j, "pre_schwarzian"),  # f' = 2z vanishes
+         (Polynomial([0, 0, 1]), 0j, "schwarzian"),
+         (Mobius(1.0, 0.0, 2.0, 1.0), -0.5, "pre_schwarzian"),  # pole
+         (Mobius(1.0, 0.0, 2.0, 1.0), -0.5, "schwarzian")],
+    )
+    def test_singular_points_raise(self, f, z, which):
+        with pytest.raises(DivisionBySingular):
+            weighted_modulus(f, z, which)
+
+    def test_outside_the_disk_raises(self):
+        with pytest.raises(DomainError):
+            weighted_modulus(Koebe(), 1.0, "pre_schwarzian")
 
 
 class TestHyperbolicNorm:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from schwarznorm import theorems
 from schwarznorm._sampling import disk_samples
 from schwarznorm.errors import DivisionBySingular, DomainError, GammaDegenerate
 from schwarznorm.functions import (
@@ -214,6 +215,22 @@ class TestGrowthDistortion:
         rep = verify_growth_distortion(make_extremal_fc_star(2.0), 2.0, 150)
         assert rep.passed
         assert 0 <= rep.worst_margin < 1e-3
+
+    def test_tables_are_kept_for_the_last_c_and_sample_count(self, monkeypatch):
+        f = random_member(ClassSpec(2.0, True), 4, 4)
+        for c, samples in ((2.0, 200), (1.5, 200), (2.0, 200), (2.0, 150)):
+            got = verify_growth_distortion(f, c, samples)
+            want = reference_verify_growth_distortion(f, c, samples)  # tables afresh
+            assert got == want
+            assert same_json(got.to_json_dict(), reference_bound_report_dict(want))
+        calls = []
+        simpson = theorems.adaptive_simpson
+        monkeypatch.setattr(theorems, "adaptive_simpson",
+                            lambda *args, **kwargs: calls.append(args) or simpson(*args, **kwargs))
+        assert verify_growth_distortion(f, 2.0, 150) == want
+        assert calls == []
+        verify_growth_distortion(f, 2.0, 200)
+        assert len(calls) == 2 * 200  # a low and a high integral per radius
 
 
 # The growth/distortion fold and the literal report dicts from before
@@ -442,6 +459,29 @@ class TestLemmaA:
     def test_near_unimodular_rejected(self):
         with pytest.raises(ValueError):
             lemmaA_margin(SchurFunction.constant_map(1.0), 0.3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SchurFunction.constant_map(0.0),
+            lambda: SchurFunction.constant_map(0.4 - 0.7j),
+            lambda: SchurFunction.blaschke([0j]),
+            *(lambda d=d: random_schur(20 + d, d) for d in (1, 3, 8)),
+        ],
+        ids=["zero", "constant", "identity", "degree_1", "degree_3", "degree_8"],
+    )
+    def test_report_margins_are_the_pointwise_margins(self, monkeypatch, build):
+        # verify_lemmaA takes |phi(0)| once per check; every margin it folds
+        # has the bits of lemmaA_margin at that sample
+        phi, folded = build(), []
+        fold = theorems._report
+        monkeypatch.setattr(theorems, "_report",
+                            lambda *args: folded.append(args) or fold(*args))
+        rep = verify_lemmaA(phi, 400)
+        [(_, samples, margins, points)] = folded
+        want = np.array([lemmaA_margin(phi, z) for z in points])
+        assert samples == 400 and margins.tobytes() == want.tobytes()
+        assert rep == fold("lemmaA", 400, want, points)
 
 
 class TestPsiIdentity:
