@@ -39,10 +39,6 @@ from .functions import (
     from_descriptor,
     half_plane,
     jet_at,
-    make_extremal_fc,
-    make_extremal_fc_lambda,
-    make_extremal_fc_star,
-    make_gallery,
     random_member,
     random_schur,
     DEFAULT_JET_ORDER,

@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .errors import DivisionBySingular, DomainError, GammaDegenerate, SearchUnreliable
 from .functions import (
     AnalyticFunction,
@@ -28,15 +29,17 @@ from .functions import (
     ExtremalFc,
     ExtremalFcLambda,
     ExtremalFcStar,
+    Identity,
+    Koebe,
+    Mobius,
     SchurFunction,
     from_descriptor,
-    make_gallery,
+    half_plane,
     random_member,
     random_schur,
 )
 from .norms import hyperbolic_norm, radial_profile
 from .theorems import (
-    THEOREM_IDS,
     membership_status,
     growth_distortion_bounds,
     univalence_bruteforce,
@@ -50,16 +53,13 @@ from .theorems import (
     verify_thm25,
 )
 
-TOOL_VERSION = "0.1.0"
-
-
 # --gallery name -> map built from the parsed arguments
 _GALLERY = {
-    "identity": lambda a: make_gallery("identity"),
-    "koebe": lambda a: make_gallery("koebe"),
-    "half_plane": lambda a: make_gallery("half_plane"),
-    # default coefficients keep the pole at -1/0.3 outside the disk
-    "mobius": lambda a: make_gallery("mobius", a=1.0, b=0.0, c=0.3, d=1.0),
+    "identity": lambda a: Identity(),
+    "koebe": lambda a: Koebe(),
+    "half_plane": lambda a: half_plane(),
+    # the pole at -1/0.3 lies outside the disk
+    "mobius": lambda a: Mobius(1.0, 0.0, 0.3, 1.0),
     "f2": lambda a: ExtremalFc(2.0),
     "fc": lambda a: ExtremalFc(a.c),
     "fc_star": lambda a: ExtremalFcStar(a.c),
@@ -101,7 +101,7 @@ def _emit(args, results, start: float, passed: bool = True) -> int:
     """Write the JSON report and return the exit code.  Wall-clock time goes
     to stderr, so reports are byte-identical across reruns."""
     report = {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "config": _config_echo(args),
         "results": results,
         "overall_pass": passed,
@@ -120,8 +120,14 @@ def _emit_csv(args, rows: list) -> int:
 
 
 def _build_function(args) -> AnalyticFunction:
+    """The map of --spec, a JSON descriptor built by ``from_descriptor``, or
+    of --gallery.  A descriptor of the wrong shape, such as a list or a
+    polynomial without coefficients, is a ValueError like an unknown kind."""
     if args.spec:
-        return from_descriptor(json.loads(args.spec))
+        try:
+            return from_descriptor(json.loads(args.spec))
+        except (AttributeError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed function descriptor: {exc}") from exc
     if not args.gallery:
         raise ValueError("provide --gallery or --spec")
     return _GALLERY[args.gallery](args)
@@ -178,7 +184,9 @@ def _target_pools(args) -> dict:
         "F_deg1": members("F", min_degree=1),
         "schur": [(f"schur[{i}]", random_schur(seed, 1 + i % 8))
                   for i, seed in enumerate(seeds)],
-        **{name: make_gallery(name) for name in ("identity", "koebe", "half_plane")},
+        "identity": Identity(),
+        "koebe": Koebe(),
+        "half_plane": half_plane(),
         "fc": ExtremalFc(args.c),
         "fc_star": ExtremalFcStar(args.c),
         "fc_lambda[1]": ExtremalFcLambda(args.c, 1.0),
@@ -241,8 +249,9 @@ _GROWTH_SAMPLES = 200
 _THRESHOLD_MAPS = ("identity", "koebe", "half_plane", "fc_star")
 _UNIT_SCHURS = ("schur[z]", "schur[0]")
 
-# theorem id -> (labels of its default targets, random pool, check); the
-# checks of the "schur" pool take Schur functions, not analytic maps
+# theorem id -> (labels of its default targets, random pool, check), in the
+# order `verify all` runs them; the checks of the "schur" pool take Schur
+# functions, not analytic maps
 _THEOREMS = {
     "thm2.1.ii": (("fc", "identity"), "F", _thm21(0)),
     "thm2.1.iii": (("fc", "identity"), "F", _thm21(1)),
@@ -273,9 +282,9 @@ def _run_verifier(tid: str, args, targets: dict) -> list[dict]:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    if args.theorem != "all" and args.theorem not in THEOREM_IDS:
+    if args.theorem != "all" and args.theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem id {args.theorem!r}")
-    ids = THEOREM_IDS if args.theorem == "all" else [args.theorem]
+    ids = _THEOREMS if args.theorem == "all" else [args.theorem]
     targets = _target_pools(args)
     if args.spec or args.gallery:
         if args.theorem != "all" and _THEOREMS[args.theorem][1] == "schur":

@@ -488,9 +488,7 @@ class ExtremalFc(AnalyticFunction):
     kind = "extremal_fc"
 
     def __init__(self, c: float):
-        if not (0.0 < c <= 3.0):
-            raise ValueError(f"c={c} outside (0, 3]")
-        self.c = float(c)
+        self.c = float(ClassSpec(c).c)
         self._log_limit = abs(self.c - 1.0) < 1e-8
         self.is_class_a = True
         self.is_mobius = abs(self.c - 2.0) <= 1e-12
@@ -532,12 +530,10 @@ class ExtremalFcLambda(AnalyticFunction):
     kind = "extremal_fc_lambda"
 
     def __init__(self, c: float, lam: complex):
-        if not (0.0 < c <= 3.0):
-            raise ValueError(f"c={c} outside (0, 3]")
+        self.c = float(ClassSpec(c).c)
         lam = complex(lam)
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ValueError("lambda must be unimodular")
-        self.c = float(c)
         self.lam = lam / abs(lam)
         self.is_class_a = True
 
@@ -609,11 +605,9 @@ class SubordinationMember(AnalyticFunction):
     is_class_a = True
 
     def __init__(self, c: float, schur: SchurFunction, variant: str = "F", seed=None):
-        if not (0.0 < c <= 3.0):
-            raise ValueError(f"c={c} outside (0, 3]")
+        self.c = float(ClassSpec(c).c)
         if variant not in ("F", "F0"):
             raise ValueError("variant must be 'F' or 'F0'")
-        self.c = float(c)
         self.schur = schur
         self.variant = variant
         self.seed = seed
@@ -823,30 +817,6 @@ class QuadraticPerturbation(AnalyticFunction):
 
 # ---------------------------------------------------------------------------
 # Constructors and serialization
-
-
-def make_extremal_fc(c: float) -> ExtremalFc:
-    return ExtremalFc(c)
-
-
-def make_extremal_fc_star(c: float) -> ExtremalFcStar:
-    return ExtremalFcStar(c)
-
-
-def make_extremal_fc_lambda(c: float, lam: complex) -> ExtremalFcLambda:
-    return ExtremalFcLambda(c, lam)
-
-
-def make_gallery(name: str, **params) -> AnalyticFunction:
-    if name == "identity":
-        return Identity()
-    if name == "koebe":
-        return Koebe()
-    if name == "half_plane":
-        return half_plane()
-    if name == "mobius":
-        return Mobius(params["a"], params["b"], params["c"], params["d"])
-    raise ValueError(f"unknown gallery member {name!r}")
 
 
 def random_schur(seed: int, degree: int) -> SchurFunction:

@@ -88,8 +88,8 @@ def jet_identity(center: complex = 0j, order: int = 1) -> TaylorJet:
 
 
 def jet_linear(a: complex, b: complex, center: complex = 0j, order: int = 1) -> TaylorJet:
-    """Jet of w -> a + b*(w - center); pad with zeros up to ``order``."""
-    return TaylorJet(center, (complex(a), complex(b)) + (0j,) * (order - 1))
+    """Jet of w -> a + b*(w - center) to ``order``; order 0 keeps a alone."""
+    return TaylorJet(center, (complex(a), complex(b))[: order + 1] + (0j,) * (order - 1))
 
 
 def jet_scale(a: TaylorJet, s: complex) -> TaylorJet:

@@ -17,14 +17,14 @@ typically attained only as r -> 1, so the search runs in three phases:
 Every reported value is backed by ``certified_lower``, the largest actually
 evaluated weighted modulus; the extrapolated limit is reported as the value
 only when it exceeds that certified bound.  Each point is evaluated once
-per search; a singular refinement point, a pole of P_f or S_f in the disk,
-raises :class:`SearchUnreliable`.  The grid is evaluated in four row
-blocks, and the argmax reduction is deterministic: ties break
-lexicographically in (r, theta), so a rerun gives the same bits.  Because
-the search is deterministic, estimates are memoized per function and
-search parameters in ``_SEARCHES``, a weak-keyed dict: repeated searches
-share one result, the function is never modified, and its entries go when
-it does.
+per search; a pole of P_f or S_f in the disk, hit on the grid or at a
+refinement point, raises :class:`SearchUnreliable`.  The grid is
+evaluated in four row blocks, and the argmax reduction is deterministic:
+ties break lexicographically in (r, theta), so a rerun gives the same
+bits.  Because the search is deterministic, estimates are memoized per
+function and search parameters in ``_SEARCHES``, a weak-keyed dict:
+repeated searches share one result, the function is never modified, and
+its entries go when it does.
 """
 
 from __future__ import annotations
@@ -210,7 +210,10 @@ def hyperbolic_norm(
     which: str,
     grid: tuple[int, int] = (256, 256),
 ) -> NormEstimate:
-    """Three-phase sup search for the hyperbolic norm of P_f or S_f."""
+    """Three-phase sup search for the hyperbolic norm of P_f or S_f.  A
+    pole in the disk, as a :class:`DivisionBySingular` on the grid (a Moebius
+    pole on a node) or a singular refinement point, raises
+    :class:`SearchUnreliable` naming ``which``."""
     power = _check_which(which)
     memo = _SEARCHES.setdefault(f, {})
     key = (which, tuple(grid))
@@ -227,9 +230,12 @@ def hyperbolic_norm(
     # grid is slower and needs more memory
     w = np.empty((nr, na))
     bounds = np.linspace(0, nr, 5, dtype=int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            w[lo:hi] = _weighted_array(f, zgrid[lo:hi], power)
+    try:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                w[lo:hi] = _weighted_array(f, zgrid[lo:hi], power)
+    except DivisionBySingular as exc:  # a kind that raises at a pole, not NaN
+        raise SearchUnreliable(f"{which} is singular on the grid: {exc}") from exc
 
     singular = np.isnan(w)
     if singular.sum() > 0.01 * w.size:

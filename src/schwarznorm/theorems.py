@@ -60,20 +60,6 @@ MEMBERSHIP_RADIUS = 1.0 - 1e-4
 SCHUR_SAMPLE_RADIUS = 0.999
 VALUE_SAMPLE_RADIUS = 0.99
 
-THEOREM_IDS = (
-    "thm2.1.ii",
-    "thm2.1.iii",
-    "thm2.2",
-    "thm2.3",
-    "thm2.4",
-    "thm2.5",
-    "lemmaA",
-    "psi",
-    "nehari",
-    "becker",
-    "ahlfors-weill",
-)
-
 
 def _json_point(z: complex | None) -> list[float] | None:
     return None if z is None else [z.real, z.imag]

@@ -34,12 +34,13 @@ from schwarznorm.cli import main
 from schwarznorm.functions import (
     ClassSpec,
     Composition,
+    ExtremalFc,
+    ExtremalFcLambda,
+    ExtremalFcStar,
+    Identity,
+    Koebe,
     Mobius,
     half_plane,
-    make_extremal_fc,
-    make_extremal_fc_lambda,
-    make_extremal_fc_star,
-    make_gallery,
     random_member,
     random_schur,
 )
@@ -135,7 +136,7 @@ def f_members():
 
 @pytest.mark.parametrize("c", C_SET)
 def test_criterion_1_preschwarzian_norm_sharp(c):
-    est = hyperbolic_norm(make_extremal_fc_star(c), "pre_schwarzian")
+    est = hyperbolic_norm(ExtremalFcStar(c), "pre_schwarzian")
     ok = abs(est.value - c) <= 1e-4 and est.boundary_attained
     report(
         f"criterion 1, c={c}",
@@ -147,7 +148,7 @@ def test_criterion_1_preschwarzian_norm_sharp(c):
 @pytest.mark.parametrize("c", C_SET)
 def test_criterion_2_schwarzian_norm_sharp(c):
     target = fc_star_schwarzian_norm(c)
-    est = hyperbolic_norm(make_extremal_fc_star(c), "schwarzian")
+    est = hyperbolic_norm(ExtremalFcStar(c), "schwarzian")
     ok = abs(est.value - target) <= 1e-4
     # Where the sup sits: only at the origin for c > 2, only in the
     # boundary limit for c < 2 (at c = 2 the whole real diameter attains it).
@@ -214,7 +215,7 @@ def test_criterion_4_equivalence_sweep():
 
 
 def test_criterion_5_f2_sharpness_witnesses():
-    f2 = make_extremal_fc(2.0)
+    f2 = ExtremalFc(2.0)
     worst_iii = 0.0
     for r in np.arange(0.1, 0.95, 0.1):
         p = f2.preschwarzian(float(r))
@@ -234,8 +235,8 @@ def test_criterion_5_f2_sharpness_witnesses():
 @pytest.mark.parametrize("c", RANDOM_C_SET)
 def test_criterion_6_growth_distortion(c, f0_members):
     rs = np.linspace(0.05, 0.99, 40)
-    upper = make_extremal_fc_lambda(c, 1.0)
-    lower = make_extremal_fc_lambda(c, -1.0)
+    upper = ExtremalFcLambda(c, 1.0)
+    lower = ExtremalFcLambda(c, -1.0)
     eq_up = max(abs(abs(upper.deriv(float(r))) - (1 - r * r) ** (-c / 2)) for r in rs)
     eq_lo = max(abs(abs(lower.deriv(float(r))) - (1 + r * r) ** (-c / 2)) for r in rs)
     quad = 0.0
@@ -263,10 +264,10 @@ def test_criterion_7_structural_identities():
         )
 
     gallery = [
-        make_gallery("koebe"),
-        make_extremal_fc(1.5),
-        make_extremal_fc_star(2.0),
-        make_extremal_fc_star(1.0),
+        Koebe(),
+        ExtremalFc(1.5),
+        ExtremalFcStar(2.0),
+        ExtremalFcStar(1.0),
     ]
     worst_inv = 0.0
     for k in range(100):
@@ -291,9 +292,9 @@ def test_criterion_7_structural_identities():
 
     funcs = gallery + [
         half_plane(),
-        make_gallery("identity"),
-        make_extremal_fc(0.5),
-        make_extremal_fc_star(3.0),
+        Identity(),
+        ExtremalFc(0.5),
+        ExtremalFcStar(3.0),
         random_member(ClassSpec(2.0), 5, 3),
         random_member(ClassSpec(1.0, True), 6, 4),
     ]
@@ -322,8 +323,8 @@ def test_criterion_7_structural_identities():
 
 
 def test_criterion_8_thresholds():
-    koebe = hyperbolic_norm(make_gallery("koebe"), "schwarzian").value
-    fstar = hyperbolic_norm(make_extremal_fc_star(2.0), "schwarzian").value
+    koebe = hyperbolic_norm(Koebe(), "schwarzian").value
+    fstar = hyperbolic_norm(ExtremalFcStar(2.0), "schwarzian").value
     mob = hyperbolic_norm(Mobius(1.0, 0.1, 0.2, 1.0), "schwarzian").value
     ok = abs(koebe - 6.0) <= 1e-4 and abs(fstar - 2.0) <= 1e-4 and mob == 0.0
     report(
@@ -335,14 +336,14 @@ def test_criterion_8_thresholds():
 
 def test_criterion_9_oracle_agreement():
     gallery = [
-        make_gallery("identity"),
-        make_gallery("koebe"),
-        make_gallery("half_plane"),
+        Identity(),
+        Koebe(),
+        half_plane(),
         Mobius(1.0, 0.0, 0.3, 1.0),
-        make_extremal_fc_star(2.0),
-        make_extremal_fc_star(1.0),
-        make_extremal_fc(1.0),
-        make_extremal_fc(2.0),
+        ExtremalFcStar(2.0),
+        ExtremalFcStar(1.0),
+        ExtremalFc(1.0),
+        ExtremalFc(2.0),
     ]
     checked = 0
     ok = True

@@ -72,6 +72,20 @@ class TestNorm:
             "numerical search failed: pre_schwarzian is singular at (r, theta) = (0.4"
         )
 
+    @pytest.mark.parametrize("argv", [["norm"], ["verify", "thm2.3"], ["verify", "nehari"]])
+    def test_pole_on_a_grid_node_exits_two(self, capsys, argv):
+        # 1/z: the pole sits on the grid's r = 0 row, where the Moebius hooks
+        # raise rather than give NaN; it must fail as a search, like a pole
+        # between the nodes
+        spec = {"kind": "mobius",
+                "params": {"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [0, 0]}}
+        code = main([*argv, "--spec", json.dumps(spec), "--grid", "32x32"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("numerical search failed: ")
+        assert "singular on the grid: Moebius pole hit inside the disk" in captured.err
+
     def test_norm_estimate_fields_frozen(self, capsys):
         _, payload = run_json(
             capsys, "norm", "--gallery", "identity", "--which", "schwarzian"
@@ -413,6 +427,23 @@ class TestDeterminismAndIO:
 
     def test_bad_spec_json(self, capsys):
         assert main(["classify", "--spec", "{not json", "--c", "2"]) == 1
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "polynomial"}',
+        '[1, 2]',
+        '"koebe"',
+        '{"kind": "polynomial", "coeffs": ["a"]}',
+        '{"kind": "subordination", "params": {"c": "x", "schur": '
+        '{"kind": "constant", "value": [0, 0]}}}',
+        '{"kind": "mobius", "params": {"a": [1], "b": [0, 0], "c": [0, 0], "d": [1, 0]}}',
+    ])
+    def test_malformed_spec_is_a_usage_error(self, capsys, spec):
+        # the wrong shape of descriptor exits 1 as an unknown kind does,
+        # with one error line and no traceback
+        assert main(["norm", "--spec", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_import_loads_no_scipy():

@@ -23,10 +23,6 @@ from schwarznorm.functions import (
     from_descriptor,
     half_plane,
     jet_at,
-    make_extremal_fc,
-    make_extremal_fc_lambda,
-    make_extremal_fc_star,
-    make_gallery,
     random_member,
     random_schur,
 )
@@ -57,19 +53,19 @@ def cauchy_coefficients(f, z, order, rho=0.05, nodes=64):
 
 class TestGallery:
     def test_identity(self):
-        f = make_gallery("identity")
+        f = Identity()
         assert f.value(0.3 + 0.1j) == 0.3 + 0.1j
         assert jet_at(f, 0.3, 2).coeffs == (0.3, 1, 0)
 
     def test_koebe_value(self):
-        assert abs(make_gallery("koebe").value(0.5) - 2.0) < 1e-15
+        assert abs(Koebe().value(0.5) - 2.0) < 1e-15
 
     def test_koebe_origin_jet(self):
-        j = jet_at(make_gallery("koebe"), 0j, 2)
+        j = jet_at(Koebe(), 0j, 2)
         assert max(abs(g - w) for g, w in zip(j.coeffs, (0, 1, 2))) < 1e-14
 
     def test_half_plane(self):
-        f = make_gallery("half_plane")
+        f = half_plane()
         assert abs(f.value(0j) - 1.0) < 1e-15
         assert f.is_mobius and not f.is_class_a
 
@@ -81,12 +77,8 @@ class TestGallery:
         with pytest.raises(ValueError):
             Mobius(1, 2, 2, 4)
 
-    def test_unknown_gallery(self):
-        with pytest.raises(ValueError):
-            make_gallery("lune")
-
     def test_domain_rejection(self):
-        f = make_gallery("koebe")
+        f = Koebe()
         with pytest.raises(DomainError):
             f.value(1.0)
         with pytest.raises(DomainError):
@@ -95,36 +87,36 @@ class TestGallery:
 
 class TestExtremalFc:
     def test_c2_is_geometric(self):
-        j = jet_at(make_extremal_fc(2.0), 0j, 5)
+        j = jet_at(ExtremalFc(2.0), 0j, 5)
         assert max(abs(g - w) for g, w in zip(j.coeffs, (0, 1, 1, 1, 1, 1))) < 1e-12
 
     def test_c2_is_mobius(self):
-        assert make_extremal_fc(2.0).is_mobius
+        assert ExtremalFc(2.0).is_mobius
 
     def test_c1_log_series(self):
-        j = jet_at(make_extremal_fc(1.0), 0j, 4)
+        j = jet_at(ExtremalFc(1.0), 0j, 4)
         want = (0, 1, 0.5, 1 / 3, 0.25)
         assert max(abs(g - w) for g, w in zip(j.coeffs, want)) < 1e-12
 
     def test_c1_limit_is_continuous(self):
-        near = jet_at(make_extremal_fc(1.0 + 5e-9), 0j, 4).coeffs
-        limit = jet_at(make_extremal_fc(1.0), 0j, 4).coeffs
+        near = jet_at(ExtremalFc(1.0 + 5e-9), 0j, 4).coeffs
+        limit = jet_at(ExtremalFc(1.0), 0j, 4).coeffs
         assert max(abs(a - b) for a, b in zip(near, limit)) < 1e-7
 
     @pytest.mark.parametrize("c", [0.3, 1.0, 1.7, 2.0, 3.0])
     def test_normalization(self, c):
-        j = jet_at(make_extremal_fc(c), 0j, 1)
+        j = jet_at(ExtremalFc(c), 0j, 1)
         assert abs(j.coeffs[0]) < 1e-12 and abs(j.coeffs[1] - 1) < 1e-12
 
     def test_c_range(self):
         with pytest.raises(ValueError):
-            make_extremal_fc(0.0)
+            ExtremalFc(0.0)
         with pytest.raises(ValueError):
-            make_extremal_fc(3.5)
+            ExtremalFc(3.5)
 
     def test_curvature_closed_form(self):
         # 1 + z f''/f' = (1 + (c-1) z)/(1 - z)
-        f = make_extremal_fc(1.4)
+        f = ExtremalFc(1.4)
         for z in (0.5, -0.8, 0.3 + 0.4j):
             got = 1 + z * f.preschwarzian(z)
             want = (1 + 0.4 * z) / (1 - z)
@@ -133,7 +125,7 @@ class TestExtremalFc:
     def test_boundary_margin_vanishes(self):
         # the class inequality becomes tight along the negative real axis
         c = 1.7
-        f = make_extremal_fc(c)
+        f = ExtremalFc(c)
         z = -(1 - 1e-6)
         margin = (1 + z * f.preschwarzian(z)).real - (1 - c / 2)
         assert 0 < margin < 1e-6
@@ -141,11 +133,11 @@ class TestExtremalFc:
 
 class TestExtremalFcStar:
     def test_c2_origin_jet(self):
-        j = jet_at(make_extremal_fc_star(2.0), 0j, 3)
+        j = jet_at(ExtremalFcStar(2.0), 0j, 3)
         assert max(abs(g - w) for g, w in zip(j.coeffs, (0, 1, 0, 1 / 3))) < 1e-12
 
     def test_c2_value_is_atanh(self):
-        f = make_extremal_fc_star(2.0)
+        f = ExtremalFcStar(2.0)
         rng = np.random.default_rng(0)
         zs = 0.8 * np.sqrt(rng.uniform(size=20)) * np.exp(
             2j * np.pi * rng.uniform(size=20)
@@ -154,12 +146,12 @@ class TestExtremalFcStar:
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
     def test_second_derivative_vanishes(self, c):
-        j = jet_at(make_extremal_fc_star(c), 0j, 2)
+        j = jet_at(ExtremalFcStar(c), 0j, 2)
         assert abs(j.coeffs[2]) < 1e-12
 
     def test_c3_deriv_jet(self):
         # binomial series: (1-z^2)^(-3/2) = 1 + (3/2) z^2 + ...
-        f = make_extremal_fc_star(3.0)
+        f = ExtremalFcStar(3.0)
         j = jet_at(f, 0j, 3)
         fp = (j.coeffs[1], 2 * j.coeffs[2], 3 * j.coeffs[3])
         assert max(abs(g - w) for g, w in zip(fp, (1, 0, 1.5))) < 1e-12
@@ -167,26 +159,26 @@ class TestExtremalFcStar:
 
 class TestExtremalFcLambda:
     def test_lambda_one_collapses_to_star(self):
-        f1 = make_extremal_fc_lambda(1.5, 1.0)
-        f2 = make_extremal_fc_star(1.5)
+        f1 = ExtremalFcLambda(1.5, 1.0)
+        f2 = ExtremalFcStar(1.5)
         zs = np.array([0.2, -0.5 + 0.3j, 0.7j])
         assert np.max(np.abs(f1.value(zs) - f2.value(zs))) < 1e-13
         j1, j2 = jet_at(f1, 0.3j, 4), jet_at(f2, 0.3j, 4)
         assert max(abs(a - b) for a, b in zip(j1.coeffs, j2.coeffs)) < 1e-13
 
     def test_lambda_minus_one_lower_distortion(self):
-        f = make_extremal_fc_lambda(2.0, -1.0)
+        f = ExtremalFcLambda(2.0, -1.0)
         for r in np.linspace(0.05, 0.95, 10):
             assert abs(abs(f.deriv(r)) - 1.0 / (1.0 + r * r)) < 1e-12
 
     def test_second_derivative_vanishes(self):
         lam = np.exp(0.7j)
-        j = jet_at(make_extremal_fc_lambda(2.5, lam), 0j, 2)
+        j = jet_at(ExtremalFcLambda(2.5, lam), 0j, 2)
         assert abs(j.coeffs[2]) < 1e-12
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
-            make_extremal_fc_lambda(2.0, 0.5)
+            ExtremalFcLambda(2.0, 0.5)
 
 
 class TestSchurFunction:
@@ -230,7 +222,7 @@ class TestRandomMember:
         # s == 1 makes f''/f' = c/(1-z), i.e. f' = (1-z)^(-c)
         for c in (1.0, 2.0, 2.7):
             m = SubordinationMember(c, SchurFunction.constant_map(1.0), "F")
-            fc = make_extremal_fc(c)
+            fc = ExtremalFc(c)
             zs = np.array([0.5, -0.6, 0.2 + 0.7j])
             assert np.max(np.abs(m.value(zs) - fc.value(zs))) < 1e-11
             assert np.max(np.abs(m.deriv(zs) - (1 - zs) ** -c)) < 1e-11
@@ -275,10 +267,10 @@ class TestRecentering:
     @pytest.mark.parametrize(
         "builder",
         [
-            lambda: make_gallery("koebe"),
-            lambda: make_gallery("half_plane"),
-            lambda: make_extremal_fc(1.3),
-            lambda: make_extremal_fc_star(2.4),
+            lambda: Koebe(),
+            lambda: half_plane(),
+            lambda: ExtremalFc(1.3),
+            lambda: ExtremalFcStar(2.4),
             lambda: Mobius(1.0, 0.2, 0.3, 1.0),
         ],
     )
@@ -518,7 +510,7 @@ class TestSegmentIntegralBitIdentity:
     @pytest.mark.parametrize("lam", [1.0, -1j, np.exp(0.7j)])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 2.5, 3.0])
     def test_fc_lambda_values(self, c, lam, points):
-        f = make_extremal_fc_lambda(c, lam)
+        f = ExtremalFcLambda(c, lam)
         zs = SEGMENT_POINTS[points]()
         assert same_bits(f.value(zs), reference_segment_integral(f._deriv, zs))
 
@@ -576,10 +568,10 @@ SCALAR_KINDS = {
     "half_plane": half_plane,
     "mobius": lambda: Mobius(1.0, 0.3, 0.5j, 1.0),
     "polynomial": lambda: Polynomial([0, 1, 0.4 - 0.1j, 0.2j]),
-    "fc_log_limit": lambda: make_extremal_fc(1.0),
-    "fc": lambda: make_extremal_fc(2.5),
-    "fc_lambda": lambda: make_extremal_fc_lambda(2.2, 1j),
-    "fc_star": lambda: make_extremal_fc_star(3.0),
+    "fc_log_limit": lambda: ExtremalFc(1.0),
+    "fc": lambda: ExtremalFc(2.5),
+    "fc_lambda": lambda: ExtremalFcLambda(2.2, 1j),
+    "fc_star": lambda: ExtremalFcStar(3.0),
     "member_F": lambda: random_member(ClassSpec(2.0), 4, 4),
     "member_F0": lambda: random_member(ClassSpec(1.5, True), 6, 6),
     # a pure rotation, one factor and the top degree reach every branch of
@@ -591,12 +583,21 @@ SCALAR_KINDS = {
         '{"kind": "subordination", "params": {"c": 2.5, "variant": "F0", '
         '"schur": {"kind": "constant", "value": [0.3, -0.4]}}}')),
     "composition_koebe": lambda: Composition(Koebe(), Mobius(0.5, 0.0, 0.0, 1.0)),
-    "composition_polynomial": lambda: Composition(Polynomial([0, 1, 0.3]), make_extremal_fc(1.2)),
+    "composition_polynomial": lambda: Composition(Polynomial([0, 1, 0.3]), ExtremalFc(1.2)),
     "composition_member": lambda: Composition(half_plane(), random_member(ClassSpec(1.0), 3, 2)),
-    "perturbed_fc": lambda: QuadraticPerturbation(make_extremal_fc(1.3), 0.2 - 0.1j),
+    "perturbed_fc": lambda: QuadraticPerturbation(ExtremalFc(1.3), 0.2 - 0.1j),
     "perturbed_koebe": lambda: QuadraticPerturbation(Koebe(), 0.5),
     "perturbed_member": lambda: QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.2 - 0.1j),
 }
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_KINDS))
+def test_jet_has_the_requested_order(name):
+    # order 0 included: a linear factor's jet keeps only its constant term
+    f = SCALAR_KINDS[name]()
+    for z in (0j, 0.3 - 0.2j):
+        for order in range(6):
+            assert jet_at(f, z, order).order == order, (name, z, order)
 
 
 class TestScalarRoute:
@@ -652,8 +653,8 @@ def schur_panel(variant, c):
 
 # Kinds without a ray route; their hook evaluates ``_value`` on the grid.
 DEFAULT_HOOK_KINDS = [
-    lambda: make_gallery("koebe"),
-    lambda: make_extremal_fc(1.3),
+    lambda: Koebe(),
+    lambda: ExtremalFc(1.3),
     lambda: QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.2 - 0.1j),
 ]
 
@@ -681,10 +682,10 @@ class TestPolarValue:
     @pytest.mark.parametrize(
         "builder",
         [
-            lambda: make_extremal_fc_star(0.5),
-            lambda: make_extremal_fc_star(3.0),
-            lambda: make_extremal_fc_lambda(2.5, np.exp(0.7j)),
-            lambda: make_extremal_fc_lambda(1.0, -1j),
+            lambda: ExtremalFcStar(0.5),
+            lambda: ExtremalFcStar(3.0),
+            lambda: ExtremalFcLambda(2.5, np.exp(0.7j)),
+            lambda: ExtremalFcLambda(1.0, -1j),
             *DEFAULT_HOOK_KINDS,
         ],
     )
@@ -697,7 +698,7 @@ class TestPolarValue:
         # 16 integrand values per grid node; value() takes 8 panels of 16
         cases = [
             (random_member(ClassSpec(2.0, True), 3, 4), "_preschwarzian"),
-            (make_extremal_fc_lambda(2.5, np.exp(0.7j)), "_deriv"),
+            (ExtremalFcLambda(2.5, np.exp(0.7j)), "_deriv"),
         ]
         for f, integrand in cases:
             sizes = []
@@ -710,8 +711,8 @@ class TestPolarValue:
     def test_bruteforce_verdicts(self, c):
         square = Polynomial([0, 0, 1])
         others = [
-            make_extremal_fc_star(c),
-            make_extremal_fc_lambda(c, np.exp(0.7j)),
+            ExtremalFcStar(c),
+            ExtremalFcLambda(c, np.exp(0.7j)),
             *(builder() for builder in DEFAULT_HOOK_KINDS),
             square,
         ]
@@ -726,7 +727,7 @@ class TestPolarValue:
 
     @pytest.mark.parametrize("c, closed_form", [(1.0, np.arcsin), (2.0, np.arctanh)])
     def test_fc_star_closed_forms(self, c, closed_form):
-        f = make_extremal_fc_star(c)
+        f = ExtremalFcStar(c)
         for gridsize in (5, 50, 100, 200):
             radii, thetas = polar_grid(gridsize)
             want = closed_form(radii[:, None] * np.exp(1j * thetas)[None, :])
@@ -763,7 +764,7 @@ class TestValueAndDeriv:
 
 class TestComposition:
     def test_values_and_jets(self):
-        outer = make_gallery("koebe")
+        outer = Koebe()
         inner = Mobius(0.5, 0.0, 0.0, 1.0)  # z/2
         comp = Composition(outer, inner)
         z = 0.4 + 0.3j

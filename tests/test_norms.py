@@ -20,11 +20,11 @@ from schwarznorm.functions import (
     Composition,
     ExtremalFc,
     ExtremalFcStar,
+    Identity,
     Koebe,
     Mobius,
     Polynomial,
-    make_extremal_fc_star,
-    make_gallery,
+    half_plane,
     random_member,
 )
 from schwarznorm.norms import (
@@ -41,27 +41,27 @@ from schwarznorm.norms import (
 
 class TestWeightedModulus:
     def test_identity_vanishes(self):
-        f = make_gallery("identity")
+        f = Identity()
         for which in ("pre_schwarzian", "schwarzian"):
             assert weighted_modulus(f, 0.4 + 0.3j, which) == 0.0
 
     def test_fc_star_pre_on_axis(self):
         # (1-r^2) * 2r/(1-r^2) = 2r
-        f = make_extremal_fc_star(2.0)
+        f = ExtremalFcStar(2.0)
         for r in (0.1, 0.5, 0.9):
             assert abs(weighted_modulus(f, r, "pre_schwarzian") - 2 * r) < 1e-12
 
     def test_koebe_schwarzian_at_origin(self):
-        assert abs(weighted_modulus(make_gallery("koebe"), 0j, "schwarzian") - 6.0) < 1e-12
+        assert abs(weighted_modulus(Koebe(), 0j, "schwarzian") - 6.0) < 1e-12
 
     def test_which_validation(self):
         with pytest.raises(ValueError):
-            weighted_modulus(make_gallery("identity"), 0j, "third_order")
+            weighted_modulus(Identity(), 0j, "third_order")
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: make_gallery("identity"), Koebe, lambda: Mobius(1.0, 0.3, 0.5j, 1.0),
-         lambda: Polynomial([0, 1, 0.4 - 0.1j, 0.2j]), lambda: make_extremal_fc_star(2.5),
+        [lambda: Identity(), Koebe, lambda: Mobius(1.0, 0.3, 0.5j, 1.0),
+         lambda: Polynomial([0, 1, 0.4 - 0.1j, 0.2j]), lambda: ExtremalFcStar(2.5),
          lambda: random_member(ClassSpec(2.0), 4, 0), lambda: random_member(ClassSpec(1.5, True), 6, 6),
          lambda: Composition(Koebe(), Mobius(0.5, 0.0, 0.0, 1.0))],
         ids=["identity", "koebe", "mobius", "polynomial", "fc_star", "member_0", "member_6",
@@ -103,29 +103,29 @@ class TestHyperbolicNorm:
         assert not est.boundary_attained
 
     def test_fc_star_preschwarzian_is_sharp(self):
-        est = hyperbolic_norm(make_extremal_fc_star(2.0), "pre_schwarzian")
+        est = hyperbolic_norm(ExtremalFcStar(2.0), "pre_schwarzian")
         assert abs(est.value - 2.0) < 1e-4
         assert est.boundary_attained
         assert est.extrapolated is not None
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0])
     def test_fc_star_schwarzian_small_c(self, c):
-        est = hyperbolic_norm(make_extremal_fc_star(c), "schwarzian")
+        est = hyperbolic_norm(ExtremalFcStar(c), "schwarzian")
         assert abs(est.value - c * (4 - c) / 2) < 1e-4
 
     @pytest.mark.parametrize("c", [2.5, 3.0])
     def test_fc_star_schwarzian_large_c(self, c):
         # for c > 2 the weighted Schwarzian modulus peaks at the origin,
         # where it equals S(0) = c; the sup is c, attained in the interior
-        est = hyperbolic_norm(make_extremal_fc_star(c), "schwarzian")
+        est = hyperbolic_norm(ExtremalFcStar(c), "schwarzian")
         assert abs(est.value - c) < 1e-8
         assert not est.boundary_attained
         assert est.argmax[0] < 1e-6
 
     def test_certified_lower_reproducible(self):
         for f, which in [
-            (make_extremal_fc_star(1.5), "schwarzian"),
-            (make_gallery("koebe"), "schwarzian"),
+            (ExtremalFcStar(1.5), "schwarzian"),
+            (Koebe(), "schwarzian"),
             (random_member(ClassSpec(2.0), 8, 4), "pre_schwarzian"),
         ]:
             est = hyperbolic_norm(f, which)
@@ -135,14 +135,14 @@ class TestHyperbolicNorm:
             assert est.certified_lower <= est.value + 1e-15
 
     def test_monotone_under_grid_doubling(self):
-        for f in (make_gallery("koebe"), make_extremal_fc_star(1.5)):
+        for f in (Koebe(), ExtremalFcStar(1.5)):
             coarse = hyperbolic_norm(f, "schwarzian", grid=(128, 128))
             fine = hyperbolic_norm(f, "schwarzian", grid=(256, 256))
             assert fine.certified_lower >= coarse.certified_lower - 1e-12
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(21)
-        for f in (make_gallery("koebe"), make_extremal_fc_star(1.5)):
+        for f in (Koebe(), ExtremalFcStar(1.5)):
             base = hyperbolic_norm(f, "schwarzian").value
             alpha = float(rng.uniform(0, 2 * np.pi))
             rot = Mobius(cmath.exp(1j * alpha), 0, 0, 1.0)
@@ -168,7 +168,7 @@ class TestHyperbolicNorm:
         assert vars(f) == before
 
     def test_memo_does_not_keep_functions_alive(self):
-        f = make_extremal_fc_star(1.5)
+        f = ExtremalFcStar(1.5)
         hyperbolic_norm(f, "pre_schwarzian", grid=(32, 32))
         ref = weakref.ref(f)
         del f
@@ -177,9 +177,9 @@ class TestHyperbolicNorm:
 
     def test_concurrent_searches(self):
         cs = (0.5, 1.0, 1.5, 2.0, 2.5)
-        expected = [hyperbolic_norm(make_extremal_fc_star(c), "schwarzian", grid=(24, 24))
+        expected = [hyperbolic_norm(ExtremalFcStar(c), "schwarzian", grid=(24, 24))
                     for c in cs]
-        fs = [make_extremal_fc_star(c) for c in cs]
+        fs = [ExtremalFcStar(c) for c in cs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -214,7 +214,7 @@ class TestHyperbolicNorm:
     @pytest.mark.parametrize("which", ["pre_schwarzian", "schwarzian"])
     @pytest.mark.parametrize(
         "build",
-        [lambda: random_member(ClassSpec(2.0), 8, 8), Koebe, lambda: make_extremal_fc_star(3.0)],
+        [lambda: random_member(ClassSpec(2.0), 8, 8), Koebe, lambda: ExtremalFcStar(3.0)],
         ids=["degree8", "koebe", "fc_star_3"],
     )
     def test_each_point_is_evaluated_once(self, monkeypatch, build, which):
@@ -235,13 +235,13 @@ class TestHyperbolicNorm:
     def test_univalent_gallery_respects_kraus_nehari(self):
         # necessity of ||S|| <= 6 at desk scale; koebe attains it
         univalent = [
-            make_gallery("identity"),
-            make_gallery("koebe"),
-            make_gallery("half_plane"),
+            Identity(),
+            Koebe(),
+            half_plane(),
             Mobius(1.0, 0.0, 0.3, 1.0),
-            make_extremal_fc_star(1.0),
-            make_extremal_fc_star(2.0),
-            make_extremal_fc_star(3.0),
+            ExtremalFcStar(1.0),
+            ExtremalFcStar(2.0),
+            ExtremalFcStar(3.0),
         ]
         for f in univalent:
             assert hyperbolic_norm(f, "schwarzian").value <= 6.0 + 1e-6
@@ -281,24 +281,24 @@ class TestRefineStarts:
     def test_one_iteration_per_start(self, monkeypatch):
         monkeypatch.setattr(norms, "_REFINE_STARTS", 3)
         monkeypatch.setattr(norms, "_REFINE_MAXITER", 1)
-        est = hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(8, 8))
+        est = hyperbolic_norm(ExtremalFcStar(1.5), "schwarzian", grid=(8, 8))
         assert est.refinement_iterations == 3
 
 
 class TestRadialProfile:
     def test_identity_all_zero(self):
-        prof = radial_profile(make_gallery("identity"), 0.0, 64, "schwarzian")
+        prof = radial_profile(Identity(), 0.0, 64, "schwarzian")
         assert len(prof) == 64
         assert all(v == 0.0 for _, v in prof)
 
     def test_fc_star_pre_profile(self):
-        prof = radial_profile(make_extremal_fc_star(2.0), 0.0, 128, "pre_schwarzian")
+        prof = radial_profile(ExtremalFcStar(2.0), 0.0, 128, "pre_schwarzian")
         for r, v in prof:
             assert abs(v - 2 * r) < 1e-10
 
     def test_fc_star_schwarzian_profile_increases(self):
         # c < 2: the profile c(1 + (1-c/2) r^2) climbs toward c(4-c)/2
-        prof = radial_profile(make_extremal_fc_star(1.0), 0.0, 64, "schwarzian")
+        prof = radial_profile(ExtremalFcStar(1.0), 0.0, 64, "schwarzian")
         values = [v for _, v in prof]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(values[-1] - 1.5) < 1e-5
@@ -313,7 +313,7 @@ class TestRadialProfile:
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
-            radial_profile(make_gallery("identity"), 0.0, 1, "schwarzian")
+            radial_profile(Identity(), 0.0, 1, "schwarzian")
 
 
 def scipy_nelder_mead(func, simplex, maxiter, xatol, fatol):

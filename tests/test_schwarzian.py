@@ -7,12 +7,13 @@ from schwarznorm.errors import DivisionBySingular
 from schwarznorm.functions import (
     ClassSpec,
     Composition,
+    ExtremalFc,
+    ExtremalFcStar,
+    Identity,
+    Koebe,
     Mobius,
     Polynomial,
     half_plane,
-    make_extremal_fc,
-    make_extremal_fc_star,
-    make_gallery,
     random_member,
 )
 from schwarznorm.schwarzian import (
@@ -43,7 +44,7 @@ def random_outer_mobius(rng):
 
 class TestPreschwarzian:
     def test_identity_is_zero(self):
-        f = make_gallery("identity")
+        f = Identity()
         for z in (0j, 0.5, -0.3 + 0.2j):
             assert preschwarzian_at(f, z) == 0
 
@@ -55,7 +56,7 @@ class TestPreschwarzian:
     def test_fc_star_closed_form(self):
         # f''/f' = c z / (1 - z^2)
         for c in (1.0, 2.0, 3.0):
-            f = make_extremal_fc_star(c)
+            f = ExtremalFcStar(c)
             for r in (0.1, 0.5, 0.9):
                 assert abs(preschwarzian_at(f, r) - c * r / (1 - r * r)) < 1e-11
 
@@ -73,17 +74,17 @@ class TestPreschwarzian:
 class TestSchwarzian:
     def test_mobius_maps_vanish(self):
         rng = np.random.default_rng(10)
-        for f in (half_plane(), make_gallery("identity"), random_outer_mobius(rng)):
+        for f in (half_plane(), Identity(), random_outer_mobius(rng)):
             for z in random_disk_points(rng, 20):
                 assert abs(schwarzian_at(f, complex(z))) < 1e-10
 
     def test_fc_star_at_origin(self):
         # hand oracle: P = cz/(1-z^2), so S(0) = P'(0) = c
         for c in (0.5, 1.0, 2.0, 3.0):
-            assert abs(schwarzian_at(make_extremal_fc_star(c), 0j) - c) < 1e-11
+            assert abs(schwarzian_at(ExtremalFcStar(c), 0j) - c) < 1e-11
 
     def test_koebe_closed_form(self):
-        f = make_gallery("koebe")
+        f = Koebe()
         assert abs(schwarzian_at(f, 0j) + 6.0) < 1e-12
         rng = np.random.default_rng(11)
         for z in random_disk_points(rng, 20):
@@ -93,9 +94,9 @@ class TestSchwarzian:
     def test_jet_route_agrees_with_closed_forms(self):
         rng = np.random.default_rng(12)
         funcs = [
-            make_gallery("koebe"),
-            make_extremal_fc(1.3),
-            make_extremal_fc_star(2.2),
+            Koebe(),
+            ExtremalFc(1.3),
+            ExtremalFcStar(2.2),
             random_member(ClassSpec(2.0), 17, 5),
         ]
         for f in funcs:
@@ -110,7 +111,7 @@ class TestSchwarzian:
         # S(z) * (1 - z^2)^2 = c (1 + (1 - c/2) z^2)
         rng = np.random.default_rng(13)
         for c in (0.5, 1.5, 2.5):
-            f = make_extremal_fc_star(c)
+            f = ExtremalFcStar(c)
             for z in random_disk_points(rng, 35):
                 z = complex(z)
                 lhs = schwarzian_at(f, z) * (1 - z * z) ** 2
@@ -120,11 +121,11 @@ class TestSchwarzian:
     def test_zero_schwarzian_characterizes_mobius(self):
         rng = np.random.default_rng(14)
         pts = random_disk_points(rng, 100)
-        mobius = [make_gallery("identity"), half_plane(), make_extremal_fc(2.0)]
+        mobius = [Identity(), half_plane(), ExtremalFc(2.0)]
         others = [
-            make_gallery("koebe"),
-            make_extremal_fc(1.5),
-            make_extremal_fc_star(2.0),
+            Koebe(),
+            ExtremalFc(1.5),
+            ExtremalFcStar(2.0),
             random_member(ClassSpec(2.0), 23, 3),
         ]
         for f in mobius:
@@ -137,12 +138,12 @@ class TestSchwarzian:
 
 class TestCompositionRule:
     def test_identity_inner(self):
-        f = make_gallery("koebe")
-        assert composition_rule_residual(f, make_gallery("identity"), 0.3) < 1e-12
+        f = Koebe()
+        assert composition_rule_residual(f, Identity(), 0.3) < 1e-12
 
     def test_random_gallery_pairs(self):
         rng = np.random.default_rng(15)
-        outers = [make_gallery("koebe"), make_extremal_fc(1.2), half_plane()]
+        outers = [Koebe(), ExtremalFc(1.2), half_plane()]
         inners = [Mobius(0.5, 0, 0, 1), Mobius(0.6, 0.1, 0.1, 1.0)]
         for f in outers:
             for phi in inners:
@@ -152,7 +153,7 @@ class TestCompositionRule:
     def test_mobius_outer_leaves_schwarzian(self):
         rng = np.random.default_rng(16)
         t = random_outer_mobius(rng)
-        f = make_gallery("koebe")
+        f = Koebe()
         for z in random_disk_points(rng, 10):
             z = complex(z)
             lhs = schwarzian_at(Composition(t, f), z)
@@ -163,9 +164,9 @@ class TestMobiusInvariance:
     def test_hundred_random_pairs(self):
         rng = np.random.default_rng(17)
         gallery = [
-            make_gallery("koebe"),
-            make_extremal_fc(1.5),
-            make_extremal_fc_star(2.0),
+            Koebe(),
+            ExtremalFc(1.5),
+            ExtremalFcStar(2.0),
         ]
         for k in range(100):
             t = random_outer_mobius(rng)
@@ -178,17 +179,17 @@ class TestMobiusInvariance:
 
 class TestOdeRelation:
     def test_identity(self):
-        assert ode_residual(make_gallery("identity"), 0.2 + 0.1j) == 0
+        assert ode_residual(Identity(), 0.2 + 0.1j) == 0
 
     def test_extremals(self):
         rng = np.random.default_rng(18)
         for c in (1.0, 2.0, 3.0):
-            f = make_extremal_fc_star(c)
+            f = ExtremalFcStar(c)
             for z in random_disk_points(rng, 10):
                 assert ode_residual(f, complex(z)) < 1e-8
 
     def test_koebe_point(self):
-        assert ode_residual(make_gallery("koebe"), 0.4 + 0.2j) < 1e-8
+        assert ode_residual(Koebe(), 0.4 + 0.2j) < 1e-8
 
     def test_random_members(self):
         rng = np.random.default_rng(19)

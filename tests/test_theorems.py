@@ -13,16 +13,16 @@ from schwarznorm.errors import DivisionBySingular, DomainError, GammaDegenerate
 from schwarznorm.functions import (
     AnalyticFunction,
     ClassSpec,
+    ExtremalFc,
+    ExtremalFcLambda,
+    ExtremalFcStar,
+    Identity,
     Koebe,
     Mobius,
     Polynomial,
     QuadraticPerturbation,
     SchurFunction,
     half_plane,
-    make_extremal_fc,
-    make_extremal_fc_lambda,
-    make_extremal_fc_star,
-    make_gallery,
     random_member,
     random_schur,
 )
@@ -54,7 +54,7 @@ from schwarznorm.theorems import (
     verify_thm25,
 )
 
-F2 = make_extremal_fc(2.0)
+F2 = ExtremalFc(2.0)
 
 
 class TestMembership:
@@ -66,7 +66,7 @@ class TestMembership:
 
     def test_identity_margin(self):
         for c in (0.5, 2.0):
-            verdict = membership_status(make_gallery("identity"), c, 500)
+            verdict = membership_status(Identity(), c, 500)
             assert abs(verdict.margin - c / 2) < 1e-12
 
     def test_polynomial_violation(self):
@@ -97,7 +97,7 @@ class TestRecoverPhi:
             assert abs(recover_phi(F2, 2.0, z) - 1.0) < 1e-12
 
     def test_identity_recovers_zero(self):
-        assert recover_phi(make_gallery("identity"), 2.0, 0.5) == 0
+        assert recover_phi(Identity(), 2.0, 0.5) == 0
 
     def test_f0_member_matches_generating_data(self):
         m = random_member(ClassSpec(2.0, True), seed=12, degree=3)
@@ -122,10 +122,10 @@ class TestRecoverPhi:
 class TestThm21Margins:
     def test_identity_margins(self):
         for c in (1.0, 2.0):
-            assert abs(thm21_ii_margin(make_gallery("identity"), c, 0j) - c / 2) < 1e-14
+            assert abs(thm21_ii_margin(Identity(), c, 0j) - c / 2) < 1e-14
             for z in (0.3, 0.5j):
                 want = c * (1 - abs(z))
-                assert abs(thm21_iii_margin(make_gallery("identity"), c, z) - want) < 1e-14
+                assert abs(thm21_iii_margin(Identity(), c, z) - want) < 1e-14
 
     def test_f2_equality_cases(self):
         # the extremal f_2 = 1/(1-z) - 1 saturates both inequalities
@@ -154,7 +154,7 @@ class TestThm21Margins:
         # the scalar margins run the array formula on one point, so only
         # their last bits may differ from the former scalar expressions
         zs = disk_samples(200, 0.99).tolist()
-        for f, c in ((F2, 2.0), (make_extremal_fc_star(2.5), 2.5),
+        for f, c in ((F2, 2.0), (ExtremalFcStar(2.5), 2.5),
                      (random_member(ClassSpec(1.5), 4, 4), 1.5), (Koebe(), 1.0)):
             for z in zs:
                 p = f.preschwarzian(z)
@@ -192,14 +192,14 @@ class TestGrowthDistortion:
     def test_lambda_extremals_attain_equality(self):
         rs = np.linspace(0.05, 0.99, 25)
         for c in (1.0, 2.0, 3.0):
-            upper = make_extremal_fc_lambda(c, 1.0)
-            lower = make_extremal_fc_lambda(c, -1.0)
+            upper = ExtremalFcLambda(c, 1.0)
+            lower = ExtremalFcLambda(c, -1.0)
             for r in rs:
                 assert abs(abs(upper.deriv(r)) - (1 - r * r) ** (-c / 2)) < 1e-8
                 assert abs(abs(lower.deriv(r)) - (1 + r * r) ** (-c / 2)) < 1e-8
 
     def test_identity_passes_with_interior_margin(self):
-        rep = verify_growth_distortion(make_gallery("identity"), 1.5, 150)
+        rep = verify_growth_distortion(Identity(), 1.5, 150)
         assert rep.passed
         assert rep.worst_margin > 0
 
@@ -212,7 +212,7 @@ class TestGrowthDistortion:
     def test_extremal_is_boundary_case(self):
         # equality only holds on the real axis, so disk samples leave a
         # small but strictly positive margin
-        rep = verify_growth_distortion(make_extremal_fc_star(2.0), 2.0, 150)
+        rep = verify_growth_distortion(ExtremalFcStar(2.0), 2.0, 150)
         assert rep.passed
         assert 0 <= rep.worst_margin < 1e-3
 
@@ -310,10 +310,10 @@ class Planted(AnalyticFunction):
 
 
 GROWTH_CASES = {
-    "identity": lambda: (make_gallery("identity"), 1.5),
+    "identity": lambda: (Identity(), 1.5),
     "koebe": lambda: (Koebe(), 2.0),  # fails: worst margin negative
-    "fc_star": lambda: (make_extremal_fc_star(2.0), 2.0),
-    "fc_lambda": lambda: (make_extremal_fc_lambda(2.5, -1.0), 2.5),
+    "fc_star": lambda: (ExtremalFcStar(2.0), 2.0),
+    "fc_lambda": lambda: (ExtremalFcLambda(2.5, -1.0), 2.5),
     **{f"member_F0_{c}_{d}": (lambda c=c, d=d: (random_member(ClassSpec(c, True), d, d), c))
        for c in (1.0, 2.0, 3.0) for d in (0, 3, 8)},
     "perturbed": lambda: (QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.4), 2.0),
@@ -341,7 +341,7 @@ class TestReportFolds:
         reports = [
             BoundReport("thm2.3", 4, 0.5, None, True),
             BoundReport("thm2.2", 200, -math.inf, 0.25 - 0.5j, False),
-            verify_thm23(make_extremal_fc_star(1.5), 1.5, grid=(16, 16)),
+            verify_thm23(ExtremalFcStar(1.5), 1.5, grid=(16, 16)),
             verify_growth_distortion(Koebe(), 2.0),
         ]
         for rep in reports:
@@ -360,7 +360,7 @@ class TestReportFolds:
     def test_norm_estimate_dicts(self):
         estimates = [
             NormEstimate(1.5, (0.5, 0.25), False, (8, 8), 12, 1.5, None),
-            hyperbolic_norm(make_extremal_fc_star(1.5), "schwarzian", grid=(16, 16)),
+            hyperbolic_norm(ExtremalFcStar(1.5), "schwarzian", grid=(16, 16)),
             # pole at -2, outside the disk: an interior peak, extrapolated set
             hyperbolic_norm(Mobius(1.0, 0.0, 0.5, 1.0), "pre_schwarzian", grid=(16, 16)),
         ]
@@ -371,15 +371,15 @@ class TestReportFolds:
 
 class TestNormBounds:
     def test_thm23_extremal_sharp(self):
-        est = hyperbolic_norm(make_extremal_fc_star(1.5), "pre_schwarzian")
+        est = hyperbolic_norm(ExtremalFcStar(1.5), "pre_schwarzian")
         assert abs(est.value - 1.5) < 1e-4
-        rep = verify_thm23(make_extremal_fc_star(1.5), 1.5)
+        rep = verify_thm23(ExtremalFcStar(1.5), 1.5)
         assert rep.passed
 
     def test_thm23_identity(self):
-        est = hyperbolic_norm(make_gallery("identity"), "pre_schwarzian")
+        est = hyperbolic_norm(Identity(), "pre_schwarzian")
         assert est.value == 0.0
-        assert verify_thm23(make_gallery("identity"), 2.0).passed
+        assert verify_thm23(Identity(), 2.0).passed
 
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
     def test_thm23_random_members(self, c):
@@ -396,7 +396,7 @@ class TestNormBounds:
     def test_thm24_extremal_fails_for_large_c(self):
         # S(0) = c exceeds c(4-c)/2 once c > 2, so the verifier must
         # honestly report the stated bound as violated at c = 3
-        rep = verify_thm24(make_extremal_fc_star(3.0), 3.0)
+        rep = verify_thm24(ExtremalFcStar(3.0), 3.0)
         assert not rep.passed
         assert rep.worst_margin < -1.0
 
@@ -521,32 +521,32 @@ class TestUnivalence:
         assert preds.ahlfors_weill_k == 0.0
 
     def test_koebe_threshold(self):
-        preds = univalence_predicates(make_gallery("koebe"))
+        preds = univalence_predicates(Koebe())
         assert preds.nehari_necessary_ok
         assert abs(preds.schwarzian_norm - 6.0) < 1e-4
         assert not preds.nehari_sufficient
         assert preds.ahlfors_weill_k is None
 
     def test_fc_star_2_exactly_at_nehari_threshold(self):
-        preds = univalence_predicates(make_extremal_fc_star(2.0))
+        preds = univalence_predicates(ExtremalFcStar(2.0))
         assert preds.nehari_sufficient
         assert abs(preds.schwarzian_norm - 2.0) < 1e-4
         assert preds.ahlfors_weill_k is None  # strict inequality required
 
     def test_bruteforce_basics(self):
-        assert univalence_bruteforce(make_gallery("identity"), 60)
-        assert univalence_bruteforce(make_gallery("koebe"), 60)
+        assert univalence_bruteforce(Identity(), 60)
+        assert univalence_bruteforce(Koebe(), 60)
         assert not univalence_bruteforce(Polynomial([0, 0, 1]), 60)
 
     def test_bruteforce_grid_cap(self):
         with pytest.raises(ValueError):
-            univalence_bruteforce(make_gallery("identity"), 300)
+            univalence_bruteforce(Identity(), 300)
 
     @pytest.mark.parametrize("gridsize", [-1, 0, 1])
     def test_bruteforce_grid_floor(self, gridsize):
         # below two radii and two rays no pair is compared: a vacuous verdict
         for f in (
-            make_gallery("koebe"),
+            Koebe(),
             Polynomial([0, 0, 1]),
             random_member(ClassSpec(2.0, True), 3, 4),
         ):
@@ -554,7 +554,7 @@ class TestUnivalence:
                 univalence_bruteforce(f, gridsize)
 
     def test_bruteforce_smallest_grid(self):
-        assert univalence_bruteforce(make_gallery("koebe"), 2)
+        assert univalence_bruteforce(Koebe(), 2)
         assert univalence_bruteforce(random_member(ClassSpec(2.0, True), 3, 4), 2)
 
     def test_bruteforce_leaves_function_unmodified(self):

@@ -3,8 +3,8 @@
     python tools/compare.py OLD_TREE NEW_TREE
 
 Each tree runs in its own Python process with PYTHONPATH=<tree>/src and
-produces a standard set of outputs: the CLI invocations in COMMANDS, run
-through ``schwarznorm.cli.main``, and the NormEstimate dicts of the 122
+produces a standard set of 15 outputs: the 14 CLI invocations in COMMANDS,
+run through ``schwarznorm.cli.main``, and the NormEstimate dicts of the 122
 norm-sweep searches.  The script prints every exit-code difference, every
 JSON value that moved (by path, old -> new), a text diff of any other stdout
 and of stderr without its wall-clock line, and exits 0 only when nothing
@@ -27,6 +27,8 @@ import sys
 
 # z / (2z + 1): P_f has a pole at -0.5 inside the disk, so its norm is infinite
 POLE_SPEC = '{"kind": "mobius", "params": {"a": [1, 0], "b": [0, 0], "c": [2, 0], "d": [1, 0]}}'
+# 1/z: the pole at 0 sits on a grid node, where the Moebius hooks raise
+NODE_POLE_SPEC = '{"kind": "mobius", "params": {"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [0, 0]}}'
 # a member of F0(2) built from a degree-2 Blaschke product
 SUBORDINATION_SPEC = ('{"kind": "subordination", "params": {"c": 2, "variant": "F0", "schur": '
                       '{"kind": "blaschke", "zeros": [[0.5, 0], [-0.3, 0.4]], "rotation": [0, 1]}}}')
@@ -41,6 +43,7 @@ COMMANDS = [
     ["norm", "--spec", POLE_SPEC],
     ["verify", "thm2.4", "--spec", POLE_SPEC],
     ["verify", "nehari", "--spec", POLE_SPEC],
+    ["norm", "--spec", NODE_POLE_SPEC, "--grid", "32x32"],
     "verify all --c 2 --gallery fc_lambda --lam 1j --random 2 --seed 1 --grid 32x32".split(),
     ["verify", "all", "--c", "2", "--spec", SUBORDINATION_SPEC, "--grid", "32x32"],
     "growth --c 2 --samples 20".split(),
