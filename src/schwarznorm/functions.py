@@ -96,8 +96,8 @@ class SchurFunction:
     """Analytic self-map of the disk: a finite Blaschke product (possibly
     with zero factors, i.e. a unimodular rotation) or a constant of modulus
     at most one.  s and s' come from one pass over the factors
-    (``value_and_deriv``): s' by the product rule for arrays, and for scalars
-    by the leave-one-out products, whose bits are in the reports."""
+    (``value_and_deriv``), s' by the product rule; an ndarray and a plain
+    complex run the same operations."""
 
     def __init__(self, kind: str, zeros=(), rotation: complex = 1.0, value: complex = 0.0):
         if kind not in ("constant", "blaschke"):
@@ -135,59 +135,39 @@ class SchurFunction:
     def blaschke(zeros, rotation: complex = 1.0) -> "SchurFunction":
         return SchurFunction("blaschke", zeros=zeros, rotation=rotation)
 
+    def _start(self, z):
+        """z as a complex ndarray of positive rank or else a plain complex,
+        with s and s' of no factors in the same form."""
+        # a plain complex, the norm refinement's query, skips both checks
+        if type(z) is not complex:
+            if isinstance(z, np.ndarray) and z.ndim:
+                z = np.asarray(z, dtype=complex)
+                return z, np.full_like(z, self._lead), np.zeros_like(z)
+            z = complex(z)
+        return z, self._lead, 0j
+
     def value(self, z):
-        return self._pass(z, False)[0]
+        z, out, _ = self._start(z)
+        # (z - a) stays an unnamed temporary: from 256 KiB on, numpy
+        # multiplies into it in place, and naming it would swap the operands
+        # of a complex multiply that is not bitwise commutative
+        for a, ca, _ in self._factors:
+            out = out * (z - a) / (1.0 - ca * z)
+        return out
 
     def deriv(self, z):
-        return self._pass(z, True)[1]
+        return self.value_and_deriv(z)[1]
 
     def value_and_deriv(self, z):
-        """(s(z), s'(z)) from one pass over the Blaschke factors."""
-        return self._pass(z, True)
-
-    def _pass(self, z, need_deriv: bool):
-        if not (isinstance(z, np.ndarray) and z.ndim):
-            return self._scalar_pass(complex(z), need_deriv)
-        # b_j = (z-a_j)/(1-conj(a_j) z), each denominator formed once; s' by
-        # the product rule, using s of the factors before this one
-        z = np.asarray(z, dtype=complex)
-        out, d = np.full_like(z, self._lead), np.zeros_like(z)
+        """(s(z), s'(z)) from one pass over the Blaschke factors
+        b_j = (z-a_j)/(1-conj(a_j) z): s by the operations of ``value``, and
+        s' by the product rule, using s of the factors before this one."""
+        z, out, d = self._start(z)
         for a, ca, mass in self._factors:
             den = 1.0 - ca * z
-            if need_deriv:
-                d = d * ((z - a) / den) + out * (mass / den ** 2)
-            # (z - a) stays an unnamed temporary: from 256 KiB on, numpy
-            # multiplies into it in place, and naming it would swap the
-            # operands of a complex multiply that is not bitwise commutative
+            d = d * ((z - a) / den) + out * (mass / den ** 2)
             out = out * (z - a) / den
         return out, d
-
-    def _scalar_pass(self, z: complex, need_deriv: bool) -> tuple[complex, complex]:
-        """(s(z), s'(z)) at a plain complex, with s' = 0j unless asked for:
-        s' by the leave-one-out sum rotation * sum_i b_i' prod_{j!=i} b_j,
-        each product taken in factor order, whose bits certified_lower reads."""
-        out = self._lead
-        if not need_deriv:
-            for a, ca, _ in self._factors:
-                out = out * (z - a) / (1.0 - ca * z)
-            return out, 0j
-        # b_i' takes the factors before it when it is formed, and each later
-        # factor as it comes
-        factors, terms = [], []
-        for a, ca, mass in self._factors:
-            den = 1.0 - ca * z
-            zma = z - a
-            b = zma / den
-            terms = [term * b for term in terms]
-            terms.append(math.prod(factors, start=mass / den ** 2))
-            factors.append(b)
-            out = out * zma / den
-        if not terms:
-            return out, 0j
-        d = 0j
-        for term in terms:
-            d += term
-        return out, self.rotation * d
 
     def jet(self, center: complex, order: int) -> TaylorJet:
         out = jet_constant(self._lead, order, center)
@@ -612,21 +592,15 @@ class SubordinationMember(AnalyticFunction):
         self.variant = variant
         self.seed = seed
 
-    # A plain complex stays a plain complex in the hooks below: it goes to
-    # the scalar Schur pass, anything else to the dispatching one.
+    # A plain complex stays a plain complex in the hooks below, as it does
+    # in the Schur pass.
     def _preschwarzian(self, zs):
-        if type(zs) is complex:
-            s = self.schur._scalar_pass(zs, False)[0]
-        else:
-            s = self.schur.value(zs)
+        s = self.schur.value(zs)
         phi = zs * s if self.variant == "F0" else s
         return self.c * phi / (1.0 - zs * phi)
 
     def _schwarzian(self, zs):
-        if type(zs) is complex:
-            s, ds = self.schur._scalar_pass(zs, True)
-        else:
-            s, ds = self.schur.value_and_deriv(zs)
+        s, ds = self.schur.value_and_deriv(zs)
         phi, dphi = (zs * s, s + zs * ds) if self.variant == "F0" else (s, ds)
         return (
             self.c

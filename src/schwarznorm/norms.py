@@ -118,8 +118,20 @@ def radial_profile(
         raise ValueError("samples must be >= 2")
     rs = _radial_grid(samples)
     zs = rs * cmath.exp(1j * theta)
-    w = _weighted_array(f, zs, power)
+    try:
+        w = _weighted_array(f, zs, power)
+    except DivisionBySingular:
+        # a hook that raises at a singular point (a Moebius pole) does so for
+        # the whole ray: the ray is evaluated point by point instead
+        w = [_weighted_or_nan(f, z, which) for z in zs.tolist()]
     return [(float(r), float(v)) for r, v in zip(rs, w) if not math.isnan(v)]
+
+
+def _weighted_or_nan(f: AnalyticFunction, z: complex, which: str) -> float:
+    try:
+        return weighted_modulus(f, z, which)
+    except DivisionBySingular:
+        return math.nan
 
 
 def _top_cells(w: np.ndarray, k: int) -> np.ndarray:

@@ -403,7 +403,7 @@ def _lemmaA_margin(phi: SchurFunction, z: complex, p0: float) -> float:
     """``lemmaA_margin`` at a plain complex z, given p0 = |phi(0)|."""
     if abs(z) >= 1.0:
         raise DomainError("lemma margin requested outside the disk")
-    pz = phi._scalar_pass(z, False)[0]
+    pz = phi.value(z)
     if abs(pz) >= 1.0 - 1e-12:
         raise ValueError("|phi(z)| too close to 1 for the margin to be finite")
     lhs = abs(pz) ** 2 / (1.0 - abs(pz) ** 2)
@@ -417,7 +417,7 @@ def psi_identity_residual(phi: SchurFunction, z: complex) -> float:
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("identity residual requested outside the disk")
-    pz = phi._scalar_pass(z, False)[0]
+    pz = phi.value(z)
     den = 1.0 - z * pz
     if abs(den) <= SINGULAR_TOL:
         raise DivisionBySingular("1 - z phi(z) vanished")

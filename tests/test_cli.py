@@ -275,6 +275,19 @@ class TestGrowthAndProfile:
         values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
         assert values == [0.0] * 16
 
+    @pytest.mark.parametrize("which", ["pre_schwarzian", "schwarzian"])
+    def test_profile_drops_a_pole_on_the_ray(self, capsys, which):
+        # 1/z has its pole at r = 0, the first grid radius: that row goes and
+        # the rest of the ray is printed, where P_f = -2/z and S_f = 0
+        spec = '{"kind": "mobius", "params": {"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [0, 0]}}'
+        code, out = run(capsys, "profile", "--spec", spec, "--samples", "5", "--which", which)
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 4 and all(r > 0 for r, _ in rows)
+        for r, value in rows:
+            want = (1.0 - r * r) * 2.0 / r if which == "pre_schwarzian" else 0.0
+            assert abs(value - want) <= 1e-9 * max(1.0, want)
+
 
 class TestRandomSuite:
     def test_entries_are_the_verify_checks_member_by_member(self, capsys):
@@ -371,6 +384,23 @@ class TestDeterminismAndIO:
             main(argv)
         assert exc.value.code == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--gallery", "f2", "--samples", "99"],
+            ["random-suite", "--random", "1", "--samples", "99"],
+            ["profile", "--gallery", "koebe", "--samples", "1"],
+        ],
+    )
+    def test_samples_below_a_subcommand_floor_exit_one(self, capsys, argv):
+        # the parser takes --samples 1 and up; membership sampling needs 100
+        # points and a profile 2, which the run reports as one error line
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_workers_flag_is_a_usage_error(self, capsys):
         # the search runs on one thread; there is no worker count to set

@@ -1,5 +1,6 @@
 """Function zoo: gallery values, extremal families, random members, jets."""
 
+import cmath
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from schwarznorm.functions import (
 from schwarznorm._integrate import _GL_W, _GL_X, _panel_breaks
 from schwarznorm._sampling import disk_samples
 from schwarznorm.jets import jet_exp, jet_integrate
+from schwarznorm.norms import weighted_modulus
 from schwarznorm.schwarzian import schwarzian_at
 from schwarznorm.theorems import (
     VALUE_SAMPLE_RADIUS,
@@ -284,7 +286,8 @@ class TestRecentering:
 
 
 # The Schur and Schwarzian formulas from before s and s' shared one pass,
-# kept verbatim as the reference: the pass must reproduce every bit.
+# kept verbatim as the reference, but for s', which is the product rule on
+# plain complexes too: the pass must reproduce every bit.
 def reference_schur_value(s, z):
     if not (isinstance(z, np.ndarray) and z.ndim):
         zc = complex(z)
@@ -304,10 +307,30 @@ def reference_schur_value(s, z):
 
 
 def reference_schur_deriv(s, z):
+    # the product rule, one factor at a time, as the pass runs it on a plain
+    # complex and on an array alike
     if not (isinstance(z, np.ndarray) and z.ndim):
-        zc = complex(z)
-        if s.kind == "constant" or not s.zeros:
-            return 0j
+        zs, out, d = complex(z), s.rotation, 0j
+    else:
+        zs = np.asarray(z, dtype=complex)
+        out, d = np.full_like(zs, s.rotation), np.zeros_like(zs)
+    for a in s.zeros:
+        den = 1.0 - a.conjugate() * zs
+        d = d * ((zs - a) / den) + out * ((1.0 - abs(a) ** 2) / den ** 2)
+        out = out * (zs - a) / den
+    return d
+
+
+# s' from before the product rule: every leave-one-out product, on a plain
+# complex one product at a time, on an array from prefix and suffix
+# cumulative products.  Kept as a cross-check of the product rule, which
+# sums in another order.
+def former_schur_deriv(s, zs):
+    scalar = not (isinstance(zs, np.ndarray) and zs.ndim)
+    if s.kind == "constant" or not s.zeros:
+        return 0j if scalar else np.zeros_like(np.asarray(zs, dtype=complex))
+    if scalar:
+        zc = complex(zs)
         factors = [(zc - a) / (1.0 - a.conjugate() * zc) for a in s.zeros]
         total = 0j
         for i, a in enumerate(s.zeros):
@@ -317,23 +340,7 @@ def reference_schur_deriv(s, z):
                     term *= fj
             total += term
         return s.rotation * total
-    # arrays: the product rule, one factor at a time, as the pass runs it
-    zs = np.asarray(z, dtype=complex)
-    out, d = np.full_like(zs, s.rotation), np.zeros_like(zs)
-    for a in s.zeros:
-        den = 1.0 - a.conjugate() * zs
-        d = d * ((zs - a) / den) + out * ((1.0 - abs(a) ** 2) / den ** 2)
-        out = out * (zs - a) / den
-    return d
-
-
-# The array s' from before the product rule: every leave-one-out product
-# from prefix and suffix cumulative products.  Kept as a cross-check of the
-# product rule, which sums in another order.
-def former_schur_deriv(s, zs):
     zs = np.asarray(zs, dtype=complex)
-    if s.kind == "constant" or not s.zeros:
-        return np.zeros_like(zs)
     factors = np.stack([(zs - a) / (1.0 - np.conj(a) * zs) for a in s.zeros])
     dfactors = np.stack(
         [(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zs) ** 2 for a in s.zeros]
@@ -418,9 +425,37 @@ def assert_close(got, want, rel=1e-13):
     assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
 
+def near_circle_points(s):
+    """Plain complexes at 1 - r in {1e-1, ..., 1e-6}, on the angles of the
+    zeros of s and halfway between neighbouring ones."""
+    angles = sorted(cmath.phase(a) for a in s.zeros) or [0.7]
+    between = [(t + u) / 2 for t, u in zip(angles, angles[1:] + [angles[0] + 2 * np.pi])]
+    return [(1.0 - 10.0 ** -k) * cmath.exp(1j * t)
+            for k in range(1, 7) for t in angles + between]
+
+
 class TestProductRuleAgainstFormer:
-    """The array s' by the product rule sums in another order than the
-    former leave-one-out products; the two agree to rounding."""
+    """s' by the product rule sums in another order than the former
+    leave-one-out products, on arrays and on plain complexes; the two agree
+    to rounding, up to the circle."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
+    def test_schur_deriv_at_scalars(self, name):
+        s = BIT_SCHURS[name]()
+        for z in [*near_circle_points(s), *bit_points(200).tolist()]:
+            got = s.deriv(z)
+            assert type(got) is complex
+            assert_close(got, former_schur_deriv(s, z))
+
+    @pytest.mark.parametrize("variant", ["F", "F0"])
+    def test_weighted_schwarzian_at_scalars(self, variant):
+        for degree in range(9):
+            f = random_member(ClassSpec(1.5, variant == "F0"), degree, degree)
+            for z in near_circle_points(f.schur):
+                former = (1.0 - abs(z) ** 2) ** 2 * abs(
+                    reference_schwarzian(f, z, former_schur_deriv)
+                )
+                assert_close(weighted_modulus(f, z, "schwarzian"), former)
 
     @pytest.mark.parametrize("count", [1000, 20000])
     @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
@@ -574,8 +609,8 @@ SCALAR_KINDS = {
     "fc_star": lambda: ExtremalFcStar(3.0),
     "member_F": lambda: random_member(ClassSpec(2.0), 4, 4),
     "member_F0": lambda: random_member(ClassSpec(1.5, True), 6, 6),
-    # a pure rotation, one factor and the top degree reach every branch of
-    # the scalar Schur pass; a --spec member may carry a constant s
+    # a pure rotation, one factor and the top degree run the Schur loops on
+    # a plain complex 0, 1 and 8 times; a --spec member may carry a constant s
     "member_degree_0": lambda: random_member(ClassSpec(2.0), 7, 0),
     "member_degree_1": lambda: random_member(ClassSpec(1.5, True), 8, 1),
     "member_degree_8": lambda: random_member(ClassSpec(3.0), 9, 8),
