@@ -119,13 +119,38 @@ def _emit_csv(args, rows: list) -> int:
     return 0
 
 
+def _finite(parse):
+    """``parse`` for a JSON number token, raising ValueError when the
+    number is not finite as a float."""
+
+    def number(text: str):
+        value = parse(text)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"function descriptor holds a number that is not finite: {text}")
+        return value
+
+    return number
+
+
+def _load_spec(text: str):
+    """--spec as JSON, refusing NaN, Infinity and literals that overflow a
+    float, such as 1e999, which ``json.loads`` would accept."""
+    return json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
+                      parse_constant=_finite(float))
+
+
 def _build_function(args) -> AnalyticFunction:
     """The map of --spec, a JSON descriptor built by ``from_descriptor``, or
     of --gallery.  A descriptor of the wrong shape, such as a list or a
-    polynomial without coefficients, is a ValueError like an unknown kind."""
+    polynomial without coefficients, is a ValueError like an unknown kind,
+    and so is one holding a number that is not finite."""
     if args.spec:
         try:
-            return from_descriptor(json.loads(args.spec))
+            return from_descriptor(_load_spec(args.spec))
         except (AttributeError, IndexError, TypeError) as exc:
             raise ValueError(f"malformed function descriptor: {exc}") from exc
     if not args.gallery:
@@ -140,7 +165,7 @@ def _config_echo(args) -> dict:
     for flag in _COMMANDS[args.command][2]:
         name = flag.lstrip("-")
         if name == "gallery":
-            echo["function_spec"] = (json.loads(args.spec) if args.spec else
+            echo["function_spec"] = (_load_spec(args.spec) if args.spec else
                                      {"gallery": args.gallery} if args.gallery else None)
         elif name != "spec":
             echo[name] = getattr(args, name)

@@ -165,7 +165,9 @@ class SchurFunction:
         z, out, d = self._start(z)
         for a, ca, mass in self._factors:
             den = 1.0 - ca * z
-            d = d * ((z - a) / den) + out * (mass / den ** 2)
+            # den * den, not den ** 2: the same bits, where CPython's integer
+            # power on a plain complex takes 2.5 times as long
+            d = d * ((z - a) / den) + out * (mass / (den * den))
             out = out * (z - a) / den
         return out, d
 

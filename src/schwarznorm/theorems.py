@@ -486,8 +486,10 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
     image i leaves the sweep at the first offset where that gap exceeds
     1e-10, and the sweep stops when none is left, so no close pair is
     missed.
-    Raises ``ValueError`` when an image is not finite.  The evaluation grows
-    with gridsize**2, hence the gridsize cap.
+    Raises ``ValueError`` when an image is not finite.  The time of the
+    evaluation grows with gridsize**2, hence the gridsize cap; its memory
+    does not, as path-integrated kinds integrate the rays in blocks of at
+    most ``_integrate._BLOCK_NODES`` nodes.
     """
     if not 2 <= gridsize <= 200:
         raise ValueError("gridsize must lie in [2, 200] (evaluation grows with gridsize**2)")

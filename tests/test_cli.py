@@ -453,7 +453,8 @@ class TestDeterminismAndIO:
         assert main(["norm"]) == 1
 
     def test_c_validation(self, capsys):
-        assert main(["classify", "--gallery", "identity", "--c", "5"]) == 1
+        for value in ("5", "nan", "inf"):
+            assert main(["classify", "--gallery", "identity", "--c", value]) == 1
 
     def test_bad_spec_json(self, capsys):
         assert main(["classify", "--spec", "{not json", "--c", "2"]) == 1
@@ -474,6 +475,28 @@ class TestDeterminismAndIO:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "polynomial", "coeffs": [0, 1, NaN]}',
+        '{"kind": "polynomial", "coeffs": [0, 1, [0.2, 1e999]]}',
+        '{"kind": "polynomial", "coeffs": [0, 1, 1' + "0" * 400 + ']}',
+        '{"kind": "mobius", "params": {"a": [1, 0], "b": [0, 0], "c": [Infinity, 0], '
+        '"d": [1, 0]}}',
+        '{"kind": "subordination", "params": {"c": 2, "variant": "F0", "schur": '
+        '{"kind": "blaschke", "zeros": [[0.5, -Infinity]], "rotation": [1, 0]}}}',
+        '{"kind": "subordination", "params": {"c": NaN, "variant": "F", "schur": '
+        '{"kind": "constant", "value": [0, 0]}}}',
+        '{"kind": "extremal_fc", "params": {"c": -1e999}}',
+    ])
+    @pytest.mark.parametrize("command", ["classify", "norm"])
+    def test_non_finite_spec_numbers_are_refused(self, capsys, command, spec):
+        # json.loads accepts NaN and Infinity, and 1e999 overflows to inf;
+        # none may reach a map or a report
+        assert main([command, "--spec", spec, "--c", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not finite" in captured.err and "Traceback" not in captured.err
 
 
 def test_import_loads_no_scipy():

@@ -27,7 +27,7 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
-from schwarznorm._integrate import _GL_W, _GL_X, _panel_breaks
+from schwarznorm._integrate import _BLOCK_NODES, _GL_W, _GL_X, _panel_breaks
 from schwarznorm._sampling import disk_samples
 from schwarznorm.jets import jet_exp, jet_integrate
 from schwarznorm.norms import weighted_modulus
@@ -308,7 +308,8 @@ def reference_schur_value(s, z):
 
 def reference_schur_deriv(s, z):
     # the product rule, one factor at a time, as the pass runs it on a plain
-    # complex and on an array alike
+    # complex and on an array alike, with den ** 2 where the pass now
+    # multiplies den * den
     if not (isinstance(z, np.ndarray) and z.ndim):
         zs, out, d = complex(z), s.rotation, 0j
     else:
@@ -385,8 +386,10 @@ def bit_points(count, seed=3):
 
 class TestOnePassBitIdentity:
     """``value_and_deriv``, ``value`` and ``deriv`` give the bits of the
-    separate loops, below and above numpy's 256 KiB temporary-elision size
-    (1,000 and 20,000 points), and so do the Schwarzian hooks."""
+    separate loops, below, at and above numpy's 256 KiB temporary-elision
+    size (1, 1,000, 16,384 and 20,000 points), and so do the Schwarzian
+    hooks.  The pass squares den by ``den * den`` where the reference takes
+    ``den ** 2``; the two give the same bits on arrays and plain complexes."""
 
     @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
     def test_scalars(self, name):
@@ -398,7 +401,7 @@ class TestOnePassBitIdentity:
             assert same_bits(v, want_v) and same_bits(d, want_d), z
             assert same_bits(s.value(z), want_v) and same_bits(s.deriv(z), want_d)
 
-    @pytest.mark.parametrize("count", [1000, 20000])
+    @pytest.mark.parametrize("count", [1, 1000, 16384, 20000])
     @pytest.mark.parametrize("name", sorted(BIT_SCHURS))
     def test_arrays(self, name, count):
         s = BIT_SCHURS[name]()
@@ -729,8 +732,10 @@ class TestPolarValue:
         for gridsize in (5, 50, 100, 200):  # at 5 the gaps are split into panels
             self.assert_matches_value(f, gridsize)
 
-    def test_one_integration_pass_per_ray(self):
-        # 16 integrand values per grid node; value() takes 8 panels of 16
+    @staticmethod
+    def integrand_sizes():
+        """A member and a closed-form kind of each route's integrand, with
+        the node count of every integrand call recorded into a list."""
         cases = [
             (random_member(ClassSpec(2.0, True), 3, 4), "_preschwarzian"),
             (ExtremalFcLambda(2.5, np.exp(0.7j)), "_deriv"),
@@ -739,8 +744,32 @@ class TestPolarValue:
             sizes = []
             hook = getattr(f, integrand)
             setattr(f, integrand, lambda zs, hook=hook: sizes.append(zs.size) or hook(zs))
+            yield f, sizes
+
+    def test_one_integration_pass_per_ray(self):
+        # 16 integrand values per grid node; value() takes 8 panels of 16
+        for f, sizes in self.integrand_sizes():
             f._polar_value(*polar_grid(50))
             assert sum(sizes) == 50 * 50 * 16, (f, sizes)
+
+    @pytest.mark.parametrize("gridsize", [50, 200])
+    def test_ray_blocks_stay_within_the_block_bound(self, gridsize):
+        # blocks of whole rays: no integrand call exceeds _BLOCK_NODES nodes,
+        # and together they still take 16 nodes per grid node
+        for f, sizes in self.integrand_sizes():
+            f._polar_value(*polar_grid(gridsize))
+            assert max(sizes) <= _BLOCK_NODES, (f, gridsize, max(sizes))
+            assert sum(sizes) == gridsize * gridsize * 16, (f, gridsize, sum(sizes))
+
+    def test_scattered_blocks_stay_within_the_block_bound(self):
+        # value() on 10,000 points: blocks of 512 points, each on every panel
+        # of the whole call
+        zs = bit_points(10_000)
+        panels = _panel_breaks(float(np.max(np.abs(zs)))).size - 1
+        for f, sizes in self.integrand_sizes():
+            f.value(zs)
+            assert max(sizes) <= _BLOCK_NODES, (f, max(sizes))
+            assert sum(sizes) == zs.size * 16 * panels, (f, sum(sizes))
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
     def test_bruteforce_verdicts(self, c):
