@@ -761,16 +761,6 @@ class TestPolarValue:
             assert max(sizes) <= _BLOCK_NODES, (f, gridsize, max(sizes))
             assert sum(sizes) == gridsize * gridsize * 16, (f, gridsize, sum(sizes))
 
-    def test_scattered_blocks_stay_within_the_block_bound(self):
-        # value() on 10,000 points: blocks of 512 points, each on every panel
-        # of the whole call
-        zs = bit_points(10_000)
-        panels = _panel_breaks(float(np.max(np.abs(zs)))).size - 1
-        for f, sizes in self.integrand_sizes():
-            f.value(zs)
-            assert max(sizes) <= _BLOCK_NODES, (f, max(sizes))
-            assert sum(sizes) == zs.size * 16 * panels, (f, sum(sizes))
-
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
     def test_bruteforce_verdicts(self, c):
         square = Polynomial([0, 0, 1])
