@@ -6,10 +6,12 @@ Poincare density of the disk.  The suprema of the sharp examples are
 typically attained only as r -> 1, so the search runs in three phases:
 
 1. a polar grid with radii cosine-clustered toward the boundary,
+   streamed in blocks of whole rows (``_grid_starts``),
 2. derivative-free simplex refinement from the 8 best grid cells
-   (``_top_cells``: a partition, then a stable sort of only the cells
-   above the k-th value, so ties break in (r, theta) order as in a stable
-   argsort of the whole grid), by an in-module Nelder-Mead (``_nelder_mead``)
+   (``_top_cells`` per block: a partition, then a stable sort of only the
+   cells above the k-th value; the blocks' cells merge by a stable sort, so
+   ties break in (r, theta) order as in a stable argsort of the whole
+   grid), by an in-module Nelder-Mead (``_nelder_mead``)
    that follows scipy.optimize's non-adaptive method step for step on floats,
 3. Richardson extrapolation of the weighted modulus in (1 - r) along the
    best ray, to detect and quantify a boundary limit.
@@ -18,13 +20,26 @@ Every reported value is backed by ``certified_lower``, the largest actually
 evaluated weighted modulus; the extrapolated limit is reported as the value
 only when it exceeds that certified bound.  Each point is evaluated once
 per search; a pole of P_f or S_f in the disk, hit on the grid or at a
-refinement point, raises :class:`SearchUnreliable`.  The grid is
-evaluated in four row blocks, and the argmax reduction is deterministic:
-ties break lexicographically in (r, theta), so a rerun gives the same
-bits.  Because the search is deterministic, estimates are memoized per
-function and search parameters in ``_SEARCHES``, a weak-keyed dict:
-repeated searches share one result, the function is never modified, and
-its entries go when it does.
+refinement point, raises :class:`SearchUnreliable`.
+
+The grid is never held whole: each block of at most ``_GRID_BLOCK_POINTS``
+= 4,096 points (16 rows of a 256x256 grid) is evaluated, counted for
+singular cells and reduced to its top 8, and only a running count and a
+running top 8 are kept.  A block's complex temporaries are then 64 KiB,
+under glibc's default 128 KiB mmap threshold, so the allocator reuses heap
+pages for them.  Blocks of 16,384 points made 256 KiB temporaries, which
+were mapped on fresh pages: about 91,500 minor page faults per round of
+the benchmark's norm-sweep panel, and a 3.1-3.3 MiB peak for a 256x256
+search, which now stays under 1 MiB.  The weights of smaller blocks may
+differ in the last bits (numpy stops multiplying into temporaries in place
+below 256 KiB), but grid values reach the estimate only through the set of
+start cells.
+
+The argmax reduction is deterministic: ties break lexicographically in
+(r, theta), so a rerun gives the same bits.  Because the search is
+deterministic, estimates are memoized per function and search parameters
+in ``_SEARCHES``, a weak-keyed dict: repeated searches share one result,
+the function is never modified, and its entries go when it does.
 """
 
 from __future__ import annotations
@@ -45,6 +60,8 @@ R_CAP = 1.0 - 1e-6
 # Nelder-Mead starts (the best grid cells) and iterations per start
 _REFINE_STARTS = 8
 _REFINE_MAXITER = 200
+# Points per grid block, in whole rows: 64 KiB complex temporaries
+_GRID_BLOCK_POINTS = 4096
 _WHICH = ("pre_schwarzian", "schwarzian")
 # Extrapolation nodes r = 1 - h0 * 2^-k, k = 0..3; the finest one sits on
 # the grid cap.
@@ -147,6 +164,45 @@ def _top_cells(w: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([above, np.flatnonzero(neg == kth)[: k - above.size]])
 
 
+def _grid_starts(
+    f: AnalyticFunction, rs: np.ndarray, thetas: np.ndarray, power: int, which: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and weights of the ``_REFINE_STARTS`` best cells of the
+    polar grid ``rs`` x ``thetas``, in the order of ``_top_cells`` on the
+    whole grid, with singular (NaN) cells as -inf.
+
+    The grid is streamed in blocks of whole rows, at most
+    ``_GRID_BLOCK_POINTS`` points each (one row when a row is longer), and
+    only a running singular count and a running top k are kept.  A block's
+    top k joins the running one by a stable sort on the value: the running
+    cells come first and have the smaller flat indices, so ties still break
+    in index order, and the result is the first k of a stable argsort of
+    the whole grid.
+    """
+    k, na = _REFINE_STARTS, thetas.size
+    dirs = np.exp(1j * thetas)
+    rows = max(1, _GRID_BLOCK_POINTS // na)
+    top, top_w = np.empty(0, dtype=np.intp), np.empty(0)
+    singular = 0
+    for lo in range(0, rs.size, rows):
+        try:
+            w = _weighted_array(f, rs[lo:lo + rows, None] * dirs[None, :], power).ravel()
+        except DivisionBySingular as exc:  # a kind that raises at a pole, not NaN
+            raise SearchUnreliable(f"{which} is singular on the grid: {exc}") from exc
+        nan = np.isnan(w)
+        if nan.any():
+            singular += int(nan.sum())
+            w = np.where(nan, -np.inf, w)
+        cells = _top_cells(w, k)
+        cand = np.concatenate([top, cells + lo * na])
+        cand_w = np.concatenate([top_w, w[cells]])
+        keep = np.argsort(-cand_w, kind="stable")[:k]
+        top, top_w = cand[keep], cand_w[keep]
+    if singular > 0.01 * rs.size * na:
+        raise SearchUnreliable(f"{singular} of {rs.size * na} grid points are singular")
+    return top, top_w
+
+
 def _nelder_mead(
     func: Callable[[tuple[float, float]], float],
     simplex: list[tuple[float, float]],
@@ -236,30 +292,7 @@ def hyperbolic_norm(
         raise ValueError("grid must have at least 2 radii and 1 angle")
     rs = _radial_grid(nr)
     thetas = 2.0 * np.pi * np.arange(na) / na
-    zgrid = rs[:, None] * np.exp(1j * thetas)[None, :]
-
-    # four row blocks keep the temporaries small; one call over the whole
-    # grid is slower and needs more memory.  A 256x256 grid's blocks stay at
-    # 16,384 points: 8,192-point blocks were 28-67% faster, mostly because
-    # the allocator maps 256 KiB temporaries on fresh pages and 128 KiB ones
-    # not, but below 256 KiB numpy no longer multiplies into a temporary in
-    # place, so for degree > 0 the weights move in the last bits, which can
-    # reorder near-tied refinement starts
-    w = np.empty((nr, na))
-    bounds = np.linspace(0, nr, 5, dtype=int)
-    try:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                w[lo:hi] = _weighted_array(f, zgrid[lo:hi], power)
-    except DivisionBySingular as exc:  # a kind that raises at a pole, not NaN
-        raise SearchUnreliable(f"{which} is singular on the grid: {exc}") from exc
-
-    singular = np.isnan(w)
-    if singular.sum() > 0.01 * w.size:
-        raise SearchUnreliable(
-            f"{int(singular.sum())} of {w.size} grid points are singular"
-        )
-    w_clean = np.where(singular, -np.inf, w)
+    cells, cell_w = _grid_starts(f, rs, thetas, power, which)
 
     # Every certified candidate is evaluated by weighted_modulus (looked up
     # at call time), so re-evaluating it at the reported argmax reproduces
@@ -289,14 +322,14 @@ def hyperbolic_norm(
             best[0], best[1], best[2] = val, r, theta
         return -val
 
-    starts = [np.unravel_index(k, w.shape) for k in _top_cells(w_clean, _REFINE_STARTS)]
+    starts = [divmod(int(k), na) for k in cells]
     for i, j in starts:
         objective((float(rs[i]), float(thetas[j])))
 
     total_iters = 0
     dtheta = 2.0 * np.pi / na
-    for i, j in starts:
-        if not math.isfinite(w_clean[i, j]):
+    for (i, j), w in zip(starts, cell_w.tolist()):
+        if not math.isfinite(w):
             continue
         r0, t0 = float(rs[i]), float(thetas[j])
         dr = float(rs[min(i + 1, nr - 1)] - rs[i]) or float(rs[i] - rs[i - 1])

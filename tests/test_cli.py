@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schwarznorm
 from schwarznorm import cli, norms, theorems
 from schwarznorm.cli import main
 from schwarznorm.functions import ExtremalFc
+from schwarznorm.norms import _radial_grid
 from schwarznorm.theorems import verify_thm21_margins
 
 
@@ -217,17 +220,17 @@ class TestVerify:
         # injectivity runs on the four threshold maps.  Koebe alone: its P
         # and S, and one grid.  Executed searches are counted, not memo hits.
         ran = {"searches": 0, "grids": 0}
-        top_cells, bruteforce = norms._top_cells, cli.univalence_bruteforce
+        grid_starts, bruteforce = norms._grid_starts, cli.univalence_bruteforce
 
-        def counting_top_cells(w, k):  # runs once per executed search
+        def counting_grid_starts(*args):  # runs once per executed search
             ran["searches"] += 1
-            return top_cells(w, k)
+            return grid_starts(*args)
 
         def counting_bruteforce(f, gridsize=100):
             ran["grids"] += gridsize not in theorems._VERDICTS.get(f, {})
             return bruteforce(f, gridsize)
 
-        monkeypatch.setattr(norms, "_top_cells", counting_top_cells)
+        monkeypatch.setattr(norms, "_grid_starts", counting_grid_starts)
         monkeypatch.setattr(cli, "univalence_bruteforce", counting_bruteforce)
         run(capsys, "verify", "all", "--c", "2", *extra, "--random", "0", "--grid", "16x16")
         assert ran == {"searches": searches, "grids": grids}
@@ -497,6 +500,108 @@ class TestDeterminismAndIO:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "not finite" in captured.err and "Traceback" not in captured.err
+
+
+# the theorem ids that take a --spec map
+_MAP_IDS = ["thm2.1.ii", "thm2.1.iii", "thm2.2", "thm2.3", "thm2.4", "thm2.5", "nehari",
+            "becker", "ahlfors-weill"]
+
+
+def random_descriptor(rng, depth=0) -> dict:
+    """A random function descriptor: maps of every kind, Moebius poles on
+    nodes of the 8 x 8 grid, elsewhere in the disk and outside it, and
+    parameters out of range."""
+
+    def pair(scale=1.0):
+        return [float(rng.normal(0.0, scale)), float(rng.normal(0.0, scale))]
+
+    def c_value():
+        return float(rng.uniform(-0.5, 3.5))
+
+    kinds = ["identity", "koebe", "half_plane", "mobius", "mobius_node", "mobius_inside",
+             "polynomial", "extremal_fc", "extremal_fc_star", "extremal_fc_lambda",
+             "subordination"] + (["composition", "perturbed"] if depth < 2 else [])
+    kind = kinds[rng.integers(len(kinds))]
+    if kind in ("identity", "koebe", "half_plane"):
+        return {"kind": kind}
+    if kind.startswith("mobius"):
+        if kind == "mobius_node":  # 1/(z - node), the pole on a grid node
+            node = complex((_radial_grid(8) * np.exp(2j * np.pi * rng.integers(8) / 8))
+                           [rng.integers(8)])
+            params = {"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [-node.real, -node.imag]}
+        elif kind == "mobius_inside":  # z / (z - p), the pole at p off the nodes
+            p = 0.9 * rng.random() * np.exp(2j * np.pi * rng.random())
+            params = {"a": [1, 0], "b": [0, 0], "c": [1, 0], "d": [-p.real, -p.imag]}
+        else:
+            params = {k: pair() for k in "abcd"}
+        return {"kind": "mobius", "params": params}
+    if kind == "polynomial":
+        return {"kind": "polynomial", "coeffs": [pair(0.5) for _ in range(rng.integers(1, 5))]}
+    if kind in ("extremal_fc", "extremal_fc_star"):
+        return {"kind": kind, "params": {"c": c_value()}}
+    if kind == "extremal_fc_lambda":
+        lam = np.exp(2j * np.pi * rng.random()) * (1.0 if rng.random() < 0.8 else 1.5)
+        return {"kind": kind, "params": {"c": c_value(), "lam": [lam.real, lam.imag]}}
+    if kind == "subordination":
+        if rng.random() < 0.3:
+            schur = {"kind": "constant", "value": pair(0.5)}
+        else:
+            zeros = [(rng.random() ** 0.5 * (1.1 if rng.random() < 0.1 else 0.95)
+                      * np.exp(2j * np.pi * rng.random())) for _ in range(rng.integers(0, 5))]
+            rotation = np.exp(2j * np.pi * rng.random())
+            schur = {"kind": "blaschke", "zeros": [[a.real, a.imag] for a in zeros],
+                     "rotation": [rotation.real, rotation.imag]}
+        variant = ["F", "F0", "G"][rng.choice(3, p=[0.45, 0.45, 0.1])]
+        return {"kind": kind, "params": {"c": c_value(), "variant": variant, "schur": schur}}
+    if kind == "composition":
+        return {"kind": kind, "params": {"outer": random_descriptor(rng, depth + 1),
+                                         "inner": random_descriptor(rng, depth + 1)}}
+    return {"kind": kind, "params": {"base": random_descriptor(rng, depth + 1),
+                                     "delta": pair(0.3)}}
+
+
+def random_argv(rng) -> list[str]:
+    spec = json.dumps(random_descriptor(rng))
+    c = str(round(float(rng.uniform(0.5, 3.0)), 3))
+    command = ["norm", "classify", "verify"][rng.integers(3)]
+    if command == "norm":
+        which = [[], ["--which", "pre_schwarzian"], ["--which", "schwarzian"]][rng.integers(3)]
+        return ["norm", "--spec", spec, "--grid", "8x8", *which]
+    if command == "classify":
+        return ["classify", "--spec", spec, "--c", c, "--samples", "100"]
+    tid = "all" if rng.random() < 0.05 else _MAP_IDS[rng.integers(len(_MAP_IDS))]
+    return ["verify", tid, "--spec", spec, "--c", c, "--grid", "8x8", "--samples", "1"]
+
+
+def test_seeded_cli_fuzz(capsys):
+    # random descriptors through cli.main: every run ends in exit 0 with a
+    # passing report, exit 1 with a failed report or one error line, or
+    # exit 2 with one search failure line, and never in an exception.  A
+    # report may hold -inf (a singular sample's margin), which json.loads reads.
+    rng = np.random.default_rng(2207)
+    problems, codes = [], []
+    for _ in range(150):
+        argv = random_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            problems.append(f"{argv}: {traceback.format_exc()}")
+            capsys.readouterr()
+            continue
+        out, err = capsys.readouterr()
+        codes.append(code)
+        if code not in (0, 1, 2) or "Traceback" in err:
+            problems.append(f"{argv}: exit {code}, stderr {err!r}")
+        elif out:
+            report = json.loads(out)
+            if code == 2 or report["overall_pass"] != (code == 0):
+                problems.append(f"{argv}: exit {code} with a report")
+        elif code == 0 or not err.startswith({1: "error: ", 2: "numerical search failed: "}[code]):
+            problems.append(f"{argv}: exit {code}, stdout empty, stderr {err!r}")
+    assert not problems, "\n".join(problems)
+    assert set(codes) == {0, 1, 2}
 
 
 def test_import_loads_no_scipy():

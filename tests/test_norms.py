@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -28,6 +29,7 @@ from schwarznorm.functions import (
     random_member,
 )
 from schwarznorm.norms import (
+    _GRID_BLOCK_POINTS,
     R_CAP,
     _nelder_mead,
     _radial_grid,
@@ -283,6 +285,124 @@ class TestRefineStarts:
         monkeypatch.setattr(norms, "_REFINE_MAXITER", 1)
         est = hyperbolic_norm(ExtremalFcStar(1.5), "schwarzian", grid=(8, 8))
         assert est.refinement_iterations == 3
+
+
+def grid_nodes(nr, na):
+    """The whole polar grid in one array: r down the rows, theta across."""
+    return _radial_grid(nr)[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(na) / na))[None, :]
+
+
+class GridBlocks:
+    """Stands in for ``norms._weighted_array`` and records each call's points
+    and weights.  Given ``grid``, a call returns the grid's next rows instead
+    of the weights of f, so the stream must ask for its rows in order."""
+
+    def __init__(self, grid=None):
+        self.grid, self.zs, self.ws = grid, [], []
+
+    def __call__(self, f, zs, power):
+        if self.grid is None:
+            w = _weighted_array(f, zs, power)
+        else:
+            lo = sum(z.shape[0] for z in self.zs)
+            w = self.grid[lo:lo + zs.shape[0]]
+        self.zs.append(zs)
+        self.ws.append(w)
+        return w
+
+    def assembled(self):
+        return np.vstack(self.zs), np.vstack(self.ws)
+
+
+def streamed_grids():
+    rng = np.random.default_rng(23)
+    ties = rng.integers(0, 4, size=(40, 300)).astype(float)  # 13 rows a block
+    singular_rows = rng.normal(size=(200, 64))  # 64 rows a block
+    singular_rows[3] = -np.inf
+    singular_rows[150] = np.nan  # 64 singular cells: 0.5% of the grid
+    singular_rows[7, 5] = singular_rows[190, 60] = np.inf
+    wide = rng.integers(0, 3, size=(4, 5000)).astype(float)  # one row a block
+    few_finite = np.full((3, 2000), -np.inf)  # -inf cells fill the top 8
+    few_finite[2, [9, 3, 1500]] = [1.0, 2.0, 1.0]
+    # a block that is singular but for 3 cells, which lead the grid; the
+    # 4,997 singular cells are under 1% of it
+    nan_block = rng.random((101, 5000))
+    nan_block[50] = np.nan
+    nan_block[50, [7, 4000, 4999]] = 2.0
+    return {"ties": ties, "singular_rows": singular_rows, "wide": wide,
+            "few_finite": few_finite, "nan_block": nan_block, "search": None}
+
+
+class TestGridStream:
+    @pytest.mark.parametrize("grid", [(256, 256), (50, 100), (37, 300), (3, 5000)])
+    def test_blocks_stay_within_the_block_bound(self, monkeypatch, grid):
+        # whole-row blocks of at most _GRID_BLOCK_POINTS points (one row when
+        # a row is longer) that together hold the grid's nodes, bit for bit
+        nr, na = grid
+        blocks = GridBlocks()
+        monkeypatch.setattr(norms, "_weighted_array", blocks)
+        hyperbolic_norm(random_member(ClassSpec(2.0, True), 4, 4), "schwarzian", grid=grid)
+        sizes = [z.size for z in blocks.zs]
+        if na <= _GRID_BLOCK_POINTS:
+            assert max(sizes) <= _GRID_BLOCK_POINTS, (grid, max(sizes))
+        else:
+            assert {z.shape[0] for z in blocks.zs} == {1}, grid
+        assert sum(sizes) == nr * na, (grid, sum(sizes))
+        assert np.array_equal(blocks.assembled()[0], grid_nodes(nr, na))
+
+    @pytest.mark.parametrize("name", sorted(streamed_grids()))
+    def test_starts_equal_a_stable_argsort_of_the_grid(self, monkeypatch, name):
+        # the running top 8 gives the first 8 of a stable argsort of the
+        # grid assembled from the same blocks, singular cells as -inf
+        grid = streamed_grids()[name]
+        nr, na = (256, 256) if grid is None else grid.shape
+        blocks = GridBlocks(grid)
+        monkeypatch.setattr(norms, "_weighted_array", blocks)
+        f = random_member(ClassSpec(2.0, True), 44, 8)
+        rs, thetas = _radial_grid(nr), 2.0 * np.pi * np.arange(na) / na
+        cells, cell_w = norms._grid_starts(f, rs, thetas, 2, "schwarzian")
+        w = np.where(np.isnan(blocks.assembled()[1]), -np.inf, blocks.assembled()[1])
+        if grid is not None:
+            assert np.array_equal(blocks.assembled()[1], grid, equal_nan=True)
+        want = argsort_starts(w, norms._REFINE_STARTS)
+        assert cells.tolist() == want.tolist()
+        assert np.array_equal(cell_w, w.ravel()[want])
+
+    def test_a_node_pole_in_a_later_block_is_singular_on_the_grid(self, monkeypatch):
+        # 1/(z - r_200): the pole sits on row 200, in the 13th block of 16
+        f = Mobius(1.0, 0.0, 1.0, -float(_radial_grid(256)[200]))
+        blocks = GridBlocks()
+        monkeypatch.setattr(norms, "_weighted_array", blocks)
+        with pytest.raises(SearchUnreliable,
+                           match="^schwarzian is singular on the grid: Moebius pole hit"):
+            hyperbolic_norm(f, "schwarzian")
+        assert len(blocks.zs) == 200 // (_GRID_BLOCK_POINTS // 256)
+
+    @pytest.mark.parametrize("count, fails", [(120, False), (121, True)])
+    def test_more_than_one_percent_singular_fails(self, monkeypatch, count, fails):
+        # 120 singular cells are 1% of a 40 x 300 grid, the most allowed
+        grid = np.ones((40, 300))
+        grid.ravel()[np.random.default_rng(5).choice(grid.size, count, replace=False)] = np.nan
+        monkeypatch.setattr(norms, "_weighted_array", GridBlocks(grid))
+        rs, thetas = _radial_grid(40), 2.0 * np.pi * np.arange(300) / 300
+        if not fails:
+            norms._grid_starts(Identity(), rs, thetas, 1, "pre_schwarzian")
+            return
+        with pytest.raises(SearchUnreliable) as exc:
+            norms._grid_starts(Identity(), rs, thetas, 1, "pre_schwarzian")
+        assert str(exc.value) == "121 of 12000 grid points are singular"
+
+    def test_a_search_peaks_under_one_mebibyte(self):
+        # the streamed grid holds no grid-sized array: a 256 x 256 search of a
+        # degree-8 member used to peak at 3.1-3.3 MiB
+        f = random_member(ClassSpec(2.0, True), 8, 8)
+        tracemalloc.start()
+        try:
+            hyperbolic_norm(f, "schwarzian")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestRadialProfile:

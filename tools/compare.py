@@ -1,6 +1,6 @@
 """List every output that moved between two source trees of schwarznorm.
 
-    python tools/compare.py OLD_TREE NEW_TREE
+    python tools/compare.py [--env NAME=VALUE]... OLD_TREE NEW_TREE
 
 Each tree runs in its own Python process with PYTHONPATH=<tree>/src and
 produces a standard set of 16 outputs: the 15 CLI invocations in COMMANDS,
@@ -14,10 +14,17 @@ Values are compared bit for bit, so both trees must run on the same machine:
 numpy picks some floating-point loops by CPU feature.  Run against itself
 (``python tools/compare.py . .``) it checks that two processes print the
 same bytes.  Both trees run at once; the set took 13 s on a 2-CPU host.
+
+``--env NAME=VALUE``, repeatable, sets an environment variable in both
+trees' processes, for instance to compare the trees on another set of
+numpy's floating-point loops:
+
+    python tools/compare.py --env NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" OLD NEW
 """
 
 from __future__ import annotations
 
+import argparse
 import difflib
 import json
 import os
@@ -84,8 +91,9 @@ print(json.dumps({"module": sn.__file__, "runs": runs, "norm_sweep": sweep}))
 _ABSENT = object()
 
 
-def _start(tree: str) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+def _start(tree: str, extra_env: dict[str, str]) -> subprocess.Popen:
+    env = dict(os.environ, **extra_env,
+               PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     return subprocess.Popen([sys.executable, "-c", _CHILD, json.dumps(COMMANDS)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -156,12 +164,22 @@ def compare(old: dict, new: dict) -> list[tuple[str, list[str]]]:
     return report
 
 
+def _assignment(text: str) -> tuple[str, str]:
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main() -> int:
-    args = sys.argv[1:]
-    if len(args) != 2:
-        sys.stderr.write(__doc__)
-        return 2
-    procs = [(tree, _start(tree)) for tree in args]
+    parser = argparse.ArgumentParser(
+        description="List every output that moved between two source trees of schwarznorm.")
+    parser.add_argument("old_tree")
+    parser.add_argument("new_tree")
+    parser.add_argument("--env", type=_assignment, action="append", default=[],
+                        metavar="NAME=VALUE", help="set in both trees' processes; repeatable")
+    args = parser.parse_args()
+    procs = [(tree, _start(tree, dict(args.env))) for tree in (args.old_tree, args.new_tree)]
     finished = [(tree, proc, *proc.communicate()) for tree, proc in procs]
     try:
         old, new = [_load(*run) for run in finished]
