@@ -92,8 +92,7 @@ _ABSENT = object()
 
 
 def _start(tree: str, extra_env: dict[str, str]) -> subprocess.Popen:
-    env = dict(os.environ, **extra_env,
-               PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env = {**os.environ, **extra_env, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
     return subprocess.Popen([sys.executable, "-c", _CHILD, json.dumps(COMMANDS)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -172,8 +171,7 @@ def _assignment(text: str) -> tuple[str, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="List every output that moved between two source trees of schwarznorm.")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
     parser.add_argument("--env", type=_assignment, action="append", default=[],
