@@ -26,18 +26,16 @@ Two kinds of integrals show up:
     panels.
 
 The ray route evaluates the integrand over blocks of as many whole rays
-as fit in ``_BLOCK_NODES`` nodes (at least one ray).  Each complex
-temporary of a block is then at most 128 KiB.  It stays in cache, and the
-allocator hands the same memory back from block to block, where one call
-over the 160,000 nodes of a 100 x 100 grid made about ten 2.5 MB
-temporaries on fresh pages (about 13,900 page faults per grid, against
-140 in blocks).  So the grid's peak memory no longer grows with
-gridsize**2, and such a grid takes half the time or less.  Every ray is
-integrated by the same operations as in one call, but its values may move
-in the last bits, because numpy multiplies into a temporary in place only
-from 256 KiB on, which can swap the operands of a complex multiply.  The
-scattered route stays one pass over all points: the calls that reports
-make have at most a few hundred points (thm2.2's 200 samples, jets' one).
+as fit in ``_BLOCK_NODES`` nodes (at least one ray), so each complex
+temporary of a block is at most 128 KiB: it stays in cache, the allocator
+hands the same memory back from block to block, and the grid's peak
+memory does not grow with gridsize**2.  Every ray is integrated by the
+same operations as in one call over the whole grid, but its values may
+differ from that call's in the last bits: numpy multiplies into a
+temporary in place only from 256 KiB on, which can swap the operands of a
+complex multiply.  The scattered route is one pass over all points: the
+calls that reports make have at most a few hundred points (thm2.2's 200
+samples, jets' one).
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ from .functions import (
 )
 from .norms import hyperbolic_norm, radial_profile
 from .theorems import (
+    _bound_table,
     membership_status,
-    growth_distortion_bounds,
     univalence_bruteforce,
     univalence_predicates,
     verify_growth_distortion,
@@ -266,9 +266,9 @@ def _threshold(tid: str, f, args) -> dict:
     }
 
 
-# thm2.2 samples at most this many points, whatever --samples says: the
-# growth tables run one adaptive-Simpson pair per sampled radius.  Each
-# entry's "samples" field records the count used.
+# thm2.2 samples at most this many points, whatever --samples says: each
+# sample costs the path integrals of f and f' there.  Each entry's
+# "samples" field records the count used.
 _GROWTH_SAMPLES = 200
 
 _THRESHOLD_MAPS = ("identity", "koebe", "half_plane", "fc_star")
@@ -320,12 +320,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    rows = [["r", "distortion_low", "distortion_high", "growth_low", "growth_high"]]
-    for r in np.linspace(0.0, 0.95, args.samples):
-        b = growth_distortion_bounds(args.c, float(r))
-        rows.append(
-            [float(r), b.distortion_low, b.distortion_high, b.growth_low, b.growth_high])
-    return _emit_csv(args, rows)
+    rs = np.linspace(0.0, 0.95, args.samples)
+    rows = np.column_stack([rs, _bound_table(args.c, rs).T]).tolist()
+    header = ["r", "distortion_low", "distortion_high", "growth_low", "growth_high"]
+    return _emit_csv(args, [header, *rows])
 
 
 def cmd_profile(args) -> int:

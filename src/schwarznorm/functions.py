@@ -105,7 +105,7 @@ class SchurFunction:
         self.kind = kind
         if kind == "constant":
             value = complex(value)
-            if abs(value) > 1.0 + 1e-12:
+            if not abs(value) <= 1.0 + 1e-12:
                 raise ValueError("constant Schur value must have modulus <= 1")
             # s and every jet of it start from one leading factor: this
             # constant, or a Blaschke product's rotation
@@ -114,10 +114,10 @@ class SchurFunction:
             self.rotation = 1.0 + 0j
         else:
             zeros = tuple(complex(a) for a in zeros)
-            if any(abs(a) >= 1.0 for a in zeros):
+            if not all(abs(a) < 1.0 for a in zeros):
                 raise ValueError("Blaschke zeros must lie inside the disk")
             rotation = complex(rotation)
-            if abs(abs(rotation) - 1.0) > 1e-12:
+            if not abs(abs(rotation) - 1.0) <= 1e-12:
                 raise ValueError("rotation factor must be unimodular")
             self.constant = None
             self.zeros = zeros
@@ -348,6 +348,8 @@ class Mobius(AnalyticFunction):
 
     def __init__(self, a, b, c, d, _kind=None):
         a, b, c, d = (complex(v) for v in (a, b, c, d))
+        if not np.all(np.isfinite([a, b, c, d])):
+            raise ValueError("Moebius coefficients must be finite")
         det = a * d - b * c
         if abs(det) <= SINGULAR_TOL:
             raise ValueError("degenerate Moebius coefficients: ad - bc = 0")
@@ -514,7 +516,7 @@ class ExtremalFcLambda(AnalyticFunction):
     def __init__(self, c: float, lam: complex):
         self.c = float(ClassSpec(c).c)
         lam = complex(lam)
-        if abs(abs(lam) - 1.0) > 1e-12:
+        if not abs(abs(lam) - 1.0) <= 1e-12:
             raise ValueError("lambda must be unimodular")
         self.lam = lam / abs(lam)
         self.is_class_a = True

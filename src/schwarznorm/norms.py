@@ -27,13 +27,10 @@ The grid is never held whole: each block of at most ``_GRID_BLOCK_POINTS``
 singular cells and reduced to its top 8, and only a running count and a
 running top 8 are kept.  A block's complex temporaries are then 64 KiB,
 under glibc's default 128 KiB mmap threshold, so the allocator reuses heap
-pages for them.  Blocks of 16,384 points made 256 KiB temporaries, which
-were mapped on fresh pages: about 91,500 minor page faults per round of
-the benchmark's norm-sweep panel, and a 3.1-3.3 MiB peak for a 256x256
-search, which now stays under 1 MiB.  The weights of smaller blocks may
-differ in the last bits (numpy stops multiplying into temporaries in place
-below 256 KiB), but grid values reach the estimate only through the set of
-start cells.
+pages for them, and a 256x256 search peaks under 1 MiB.  numpy multiplies
+into a temporary in place only from 256 KiB on, so a block's weights may
+differ in the last bits from a larger block's, but grid values reach the
+estimate only through the set of start cells.
 
 The argmax reduction is deterministic: ties break lexicographically in
 (r, theta), so a rerun gives the same bits.  Because the search is
@@ -133,6 +130,8 @@ def radial_profile(
     power = _check_which(which)
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     rs = _radial_grid(samples)
     zs = rs * cmath.exp(1j * theta)
     try:

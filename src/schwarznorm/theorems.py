@@ -28,6 +28,7 @@ check reports how much slack survived instead of a bare boolean.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import asdict, dataclass
@@ -217,44 +218,39 @@ class GrowthDistortionBounds:
 
 
 def growth_distortion_bounds(c: float, r: float) -> GrowthDistortionBounds:
-    """Sharp bounds for members of F0(c) at radius r.
-
-    Distortion: (1+r^2)^(-c/2) <= |f'| <= (1-r^2)^(-c/2); growth integrates
-    the same kernels from 0 to r by adaptive Simpson quadrature.
-    """
+    """Sharp bounds for members of F0(c) at radius r: ``_bound_table`` at [r]."""
     ClassSpec(c)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"radius {r} outside [0, 1)")
-    half = c / 2.0
-    return GrowthDistortionBounds(
-        distortion_low=(1.0 + r * r) ** -half,
-        distortion_high=(1.0 - r * r) ** -half,
-        growth_low=adaptive_simpson(lambda t: (1.0 + t * t) ** -half, 0.0, r),
-        growth_high=adaptive_simpson(lambda t: (1.0 - t * t) ** -half, 0.0, r),
-    )
+    return GrowthDistortionBounds(*_bound_table(c, np.array([float(r)]))[:, 0].tolist())
 
 
-def _growth_tables(c: float, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative growth integrals at every radius (segment-wise Simpson)."""
+def _bound_table(c: float, radii: np.ndarray) -> np.ndarray:
+    """The four bounds of ``GrowthDistortionBounds`` at every radius, one
+    row each, in field order.
+
+    Distortion: (1+r^2)^(-c/2) <= |f'| <= (1-r^2)^(-c/2); growth integrates
+    the same kernels from 0 to r, cumulatively over the radii in increasing
+    order, one adaptive Simpson segment per kernel and radius at tol 1e-13.
+    """
     half = c / 2.0
-    low = np.empty_like(radii)
-    high = np.empty_like(radii)
+    kernels = (lambda t: (1.0 + t * t) ** -half, lambda t: (1.0 - t * t) ** -half)
     order = np.argsort(radii, kind="stable")
-    acc_low = acc_high = 0.0
-    prev = 0.0
-    for idx in order:
-        r = float(radii[idx])
-        acc_low += adaptive_simpson(lambda t: (1.0 + t * t) ** -half, prev, r, tol=1e-13)
-        acc_high += adaptive_simpson(lambda t: (1.0 - t * t) ** -half, prev, r, tol=1e-13)
-        low[idx] = acc_low
-        high[idx] = acc_high
+    acc, prev, rows = [0.0] * len(kernels), 0.0, []
+    for r in radii[order].tolist():
+        acc = [a + adaptive_simpson(kernel, prev, r, tol=1e-13) for a, kernel in zip(acc, kernels)]
+        rows.append(acc)
         prev = r
-    return low, high
+    growth = np.empty((len(kernels), radii.size))
+    growth[:, order] = np.array(rows).T
+    return np.concatenate([[kernel(radii) for kernel in kernels], growth])
 
 
-# The growth tables of the last (c, samples) pair checked, as
-# ((c, samples), (low, high)); None before the first check.
-_growth_slot: tuple | None = None
+@functools.lru_cache(maxsize=1)
+def _sample_table(c: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """thm2.2's sample points and ``_bound_table`` at their radii."""
+    zs = disk_samples(samples, VALUE_SAMPLE_RADIUS)
+    return zs, _bound_table(c, np.abs(zs))
 
 
 def verify_growth_distortion(
@@ -264,29 +260,14 @@ def verify_growth_distortion(
 
     Sampling stays at radii <= 0.99: the bounds hold on the whole disk and
     the comfortable margin keeps path-integration noise irrelevant.  The
-    growth tables (one adaptive-Simpson pair per sampled radius) depend on
-    c and the sample count alone, so the tables of the last (c, samples)
-    pair are kept in one module slot, ``_growth_slot``: consecutive checks
-    at one c, as ``verify all`` runs them, compute them once.
+    bound table depends on c and the sample count alone, so the table of
+    the last (c, samples) pair is kept (``_sample_table``): consecutive
+    checks at one c, as ``verify all`` runs them, build it once.
     """
-    global _growth_slot
-    zs = disk_samples(samples, VALUE_SAMPLE_RADIUS)
-    rs = np.abs(zs)
-    slot, key = _growth_slot, (c, samples)
-    if slot is None or slot[0] != key:
-        slot = _growth_slot = (key, _growth_tables(c, rs))
-    bounds_low, bounds_high = slot[1]
-    half = c / 2.0
+    zs, bounds = _sample_table(c, samples)
     fv, fp = f._value_and_deriv(zs)
     fv, fp = np.abs(fv), np.abs(fp)
-    margins = np.stack(
-        [
-            fp - (1.0 + rs * rs) ** -half,
-            (1.0 - rs * rs) ** -half - fp,
-            fv - bounds_low,
-            bounds_high - fv,
-        ]
-    )
+    margins = np.stack([fp - bounds[0], bounds[1] - fp, fv - bounds[2], bounds[3] - fv])
     margins = np.where(np.isnan(margins), -np.inf, margins)
     return _report("thm2.2", samples, margins.ravel(), np.tile(zs, 4))
 

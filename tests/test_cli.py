@@ -199,8 +199,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("samples, used", [(None, 200), ("100", 100)])
     def test_thm22_caps_its_sample_count(self, capsys, samples, used):
-        # the growth tables cost one adaptive-Simpson pair per radius, so
-        # thm2.2 samples min(--samples, 200) points and records that count
+        # each sample costs the path integrals of f and f' there, so thm2.2
+        # samples min(--samples, 200) points and records that count
         argv = ["verify", "thm2.2", "--random", "1"] + (["--samples", samples] if samples else [])
         code, payload = run_json(capsys, *argv)
         assert code == 0
@@ -500,6 +500,18 @@ class TestDeterminismAndIO:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "not finite" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--gallery", "fc_lambda", "--lam", "nan", "--c", "2"],
+        ["norm", "--gallery", "fc_lambda", "--lam", "nan", "--c", "2"],
+        ["profile", "--gallery", "koebe", "--theta", "nan"],
+        ["profile", "--gallery", "koebe", "--theta", "inf"],
+    ], ids=["classify_lam", "norm_lam", "profile_theta_nan", "profile_theta_inf"])
+    def test_non_finite_lam_and_theta_are_refused(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # the theorem ids that take a --spec map

@@ -214,6 +214,22 @@ class TestSchurFunction:
             assert abs(j(0.2 - 0.1j + w) - complex(s.value(0.2 - 0.1j + w))) < 1e-10
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExtremalFcLambda(2.0, cmath.nan),
+    lambda: SchurFunction.constant_map(cmath.nan),
+    lambda: SchurFunction.blaschke([cmath.nanj]),
+    lambda: SchurFunction.blaschke([0.3], rotation=cmath.nan),
+    lambda: Mobius(1, 0, cmath.nan, 1),
+    lambda: Mobius(1, 0, 0, cmath.inf),
+], ids=["lam", "schur_constant", "blaschke_zero", "blaschke_rotation",
+        "mobius_nan", "mobius_inf"])
+def test_non_finite_parameters_are_refused(build):
+    # every comparison with NaN is false: a check written as "bad if x > bound"
+    # passes NaN, so each one must fail unless the parameter is in range
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestRandomMember:
     def test_zero_schur_gives_identity(self):
         m = SubordinationMember(2.0, SchurFunction.constant_map(0.0), "F")

@@ -32,7 +32,7 @@ from schwarznorm.theorems import (
     BoundReport,
     GammaSpec,
     MembershipVerdict,
-    _growth_tables,
+    _bound_table,
     gamma_of,
     growth_distortion_bounds,
     lemmaA_margin,
@@ -167,17 +167,29 @@ class TestThm21Margins:
                     assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (f, z)
 
 
+# the growth integrals (low, high) of (1 +- t^2)^(-c/2) from 0 to r
+GROWTH_CLOSED_FORMS = {
+    1.0: (np.arcsinh, np.arcsin),
+    2.0: (np.arctan, np.arctanh),
+    3.0: (lambda r: r / np.sqrt(1.0 + r * r), lambda r: r / np.sqrt(1.0 - r * r)),
+}
+
+
 class TestGrowthDistortion:
     def test_r_zero(self):
         b = growth_distortion_bounds(1.5, 0.0)
         assert (b.distortion_low, b.distortion_high) == (1.0, 1.0)
         assert (b.growth_low, b.growth_high) == (0.0, 0.0)
 
-    def test_c2_closed_forms(self):
-        for r in np.arange(0.1, 0.95, 0.1):
-            b = growth_distortion_bounds(2.0, float(r))
-            assert abs(b.growth_low - math.atan(r)) < 1e-10
-            assert abs(b.growth_high - math.atanh(r)) < 1e-10
+    @pytest.mark.parametrize("c", sorted(GROWTH_CLOSED_FORMS))
+    def test_growth_closed_forms(self, c):
+        # the table at unsorted radii, and each radius alone
+        rs = np.random.default_rng(3).permutation(np.linspace(0.0, 0.95, 50))
+        want = np.array([form(rs) for form in GROWTH_CLOSED_FORMS[c]])
+        single = [growth_distortion_bounds(c, float(r)) for r in rs]
+        for got in (_bound_table(c, rs)[2:],
+                    np.array([[b.growth_low for b in single], [b.growth_high for b in single]])):
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
 
     def test_growth_low_near_boundary(self):
         b = growth_distortion_bounds(2.0, 1 - 1e-9)
@@ -239,7 +251,7 @@ class TestGrowthDistortion:
 def reference_verify_growth_distortion(f, c, samples=200):
     zs = disk_samples(samples, VALUE_SAMPLE_RADIUS)
     rs = np.abs(zs)
-    bounds_low, bounds_high = _growth_tables(c, rs)
+    bounds_low, bounds_high = _bound_table(c, rs)[2:]
     half = c / 2.0
     fv, fp = f._value_and_deriv(zs)
     fv, fp = np.abs(fv), np.abs(fp)

@@ -3,7 +3,7 @@
     python tools/compare.py [--env NAME=VALUE]... OLD_TREE NEW_TREE
 
 Each tree runs in its own Python process with PYTHONPATH=<tree>/src and
-produces a standard set of 16 outputs: the 15 CLI invocations in COMMANDS,
+produces a standard set of 17 outputs: the 16 CLI invocations in COMMANDS,
 run through ``schwarznorm.cli.main``, and the NormEstimate dicts of the 122
 norm-sweep searches.  The script prints every exit-code difference, every
 JSON value that moved (by path, old -> new), a text diff of any other stdout
@@ -55,6 +55,7 @@ COMMANDS = [
     "verify all --c 2 --gallery fc_lambda --lam 1j --random 2 --seed 1 --grid 32x32".split(),
     ["verify", "all", "--c", "2", "--spec", SUBORDINATION_SPEC, "--grid", "32x32"],
     "growth --c 2 --samples 20".split(),
+    "growth --c 3".split(),
     "profile --gallery fc_star --c 2 --which schwarzian".split(),
 ]
 
