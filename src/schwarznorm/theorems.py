@@ -219,7 +219,6 @@ class GrowthDistortionBounds:
 
 def growth_distortion_bounds(c: float, r: float) -> GrowthDistortionBounds:
     """Sharp bounds for members of F0(c) at radius r: ``_bound_table`` at [r]."""
-    ClassSpec(c)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"radius {r} outside [0, 1)")
     return GrowthDistortionBounds(*_bound_table(c, np.array([float(r)]))[:, 0].tolist())
@@ -233,6 +232,7 @@ def _bound_table(c: float, radii: np.ndarray) -> np.ndarray:
     the same kernels from 0 to r, cumulatively over the radii in increasing
     order, one adaptive Simpson segment per kernel and radius at tol 1e-13.
     """
+    ClassSpec(c)
     half = c / 2.0
     kernels = (lambda t: (1.0 + t * t) ** -half, lambda t: (1.0 - t * t) ** -half)
     order = np.argsort(radii, kind="stable")

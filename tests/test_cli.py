@@ -459,6 +459,15 @@ class TestDeterminismAndIO:
         for value in ("5", "nan", "inf"):
             assert main(["classify", "--gallery", "identity", "--c", value]) == 1
 
+    @pytest.mark.parametrize("value", ["5", "0", "nan", "inf"])
+    def test_growth_refuses_c_outside_the_class(self, capsys, value):
+        # a non-finite c would make every Simpson error estimate NaN and
+        # recurse to the depth cap: it must stop at the class check
+        assert main(["growth", "--c", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_bad_spec_json(self, capsys):
         assert main(["classify", "--spec", "{not json", "--c", "2"]) == 1
 
