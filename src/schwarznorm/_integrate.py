@@ -25,17 +25,18 @@ Two kinds of integrals show up:
     distance from the last radius to the circle is split into equal
     panels.
 
-The ray route evaluates the integrand over blocks of as many whole rays
-as fit in ``_BLOCK_NODES`` nodes (at least one ray), so each complex
-temporary of a block is at most 128 KiB: it stays in cache, the allocator
-hands the same memory back from block to block, and the grid's peak
-memory does not grow with gridsize**2.  Every ray is integrated by the
-same operations as in one call over the whole grid, but its values may
-differ from that call's in the last bits: numpy multiplies into a
-temporary in place only from 256 KiB on, which can swap the operands of a
-complex multiply.  The scattered route is one pass over all points: the
-calls that reports make have at most a few hundred points (thm2.2's 200
-samples, jets' one).
+Both routes evaluate the integrand over blocks of at most ``_BLOCK_NODES``
+nodes (or one ray or panel that alone has more), so each complex temporary
+is at most 128 KiB and stays in cache.  The ray route's blocks are whole
+rays, so the grid's peak memory does not grow with gridsize**2; a ray's
+values may differ in the last bits from one call over the whole grid,
+since numpy multiplies into a temporary in place only from 256 KiB on,
+which can swap the operands of a complex multiply.  The scattered route's
+blocks are whole panels of all points, stacked panel-major, and G and F
+accumulate panel by panel with the bits of one call per panel: elementwise
+ufuncs do not depend on an element's position or the array's length, and
+a block of several panels stays under 256 KiB.  A one-point query (a jet
+at z != 0, a scalar ``value``) makes one call for its 8 panels.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from numpy.polynomial import legendre as _leg
 _GL_N = 16
 _GL_X, _GL_W = _leg.leggauss(_GL_N)
 
-# Integrand nodes per block of the ray route: 128 KiB per complex temporary
+# Integrand nodes per block of either route: 128 KiB per complex temporary
 _BLOCK_NODES = 8192
 
 # Cumulative integration matrix on the Gauss-Legendre nodes: given values
@@ -92,16 +93,18 @@ def exp_path_integrals(
     f = np.zeros_like(flat)
     if flat.size:
         breaks = _panel_breaks(float(np.max(np.abs(flat))))
-        for ta, tb in zip(breaks[:-1], breaks[1:]):
-            half = 0.5 * (tb - ta)
-            nodes = ta + half * (_GL_X + 1.0)
-            w = flat[:, None] * nodes[None, :]
-            pv = p_func(w)
-            scale = half * flat
-            if need_outer:
-                g_nodes = g[:, None] + scale[:, None] * (pv @ _CUM.T)
-                f += scale * (np.exp(g_nodes) @ _GL_W)
-            g = g + scale * (pv @ _GL_W)
+        halves = 0.5 * np.diff(breaks)
+        nodes = breaks[:-1, None] + halves[:, None] * (_GL_X + 1.0)  # (panel, node)
+        step = max(1, _BLOCK_NODES // (flat.size * _GL_N))
+        for lo in range(0, halves.size, step):
+            # (panel, point, node): each panel is a contiguous (point, node) array
+            pv_panels = p_func(flat[None, :, None] * nodes[lo : lo + step, None, :])
+            for half, pv in zip(halves[lo : lo + step], pv_panels):
+                scale = half * flat
+                if need_outer:
+                    g_nodes = g[:, None] + scale[:, None] * (pv @ _CUM.T)
+                    f += scale * (np.exp(g_nodes) @ _GL_W)
+                g = g + scale * (pv @ _GL_W)
     return g.reshape(zs.shape), f.reshape(zs.shape)
 
 

@@ -18,6 +18,7 @@ is exactly a zero of f', i.e. loss of local univalence, and must surface as
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import CenterMismatchError, DivisionBySingular, SINGULAR_TOL
@@ -43,10 +44,9 @@ class TaylorJet:
         # f(z) needs them.  Disk membership is enforced where analytic
         # functions are queried (jet_at and the evaluation accessors).
         object.__setattr__(self, "center", complex(self.center))
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        for c in coeffs:
-            if not cmath.isfinite(c):
-                raise ValueError("non-finite jet coefficient")
+        coeffs = tuple(map(complex, self.coeffs))
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError("non-finite jet coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -124,21 +124,36 @@ def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
 
 
 def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Quotient q with q*b == a through the shared order."""
+    """Quotient q with q*b == a through the shared order.
+
+    The terms of b's zero coefficients are skipped with the bits kept: an
+    accumulator that starts without a -0 part never gets one, and then
+    subtracting a zero leaves it as it is.  So only a sparse b skips, and
+    only when no coefficient of a has a -0 part."""
     _check_centers(a, b)
     if abs(b.coeffs[0]) <= SINGULAR_TOL:
         raise DivisionBySingular(
             f"leading denominator coefficient {b.coeffs[0]!r} below {SINGULAR_TOL}"
         )
     n = min(a.order, b.order)
-    q = [0j] * (n + 1)
     b0 = b.coeffs[0]
+    keep_all = all(b.coeffs[1 : n + 1]) or any(map(_negative_zero_part, a.coeffs[: n + 1]))
+    terms = []  # (j, b_j) of the terms of q_k, in the full loop's order
+    q = []
     for k in range(n + 1):
+        if k and (keep_all or b.coeffs[k]):
+            terms.insert(0, (k, b.coeffs[k]))
         acc = a.coeffs[k]
-        for i in range(k):
-            acc -= q[i] * b.coeffs[k - i]
-        q[k] = acc / b0
+        for j, bj in terms:
+            acc -= q[k - j] * bj
+        q.append(acc / b0)
     return TaylorJet(a.center, tuple(q))
+
+
+def _negative_zero_part(c: complex) -> bool:
+    return (c.real == 0.0 and math.copysign(1.0, c.real) < 0.0) or (
+        c.imag == 0.0 and math.copysign(1.0, c.imag) < 0.0
+    )
 
 
 def jet_exp(a: TaylorJet) -> TaylorJet:

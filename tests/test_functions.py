@@ -27,7 +27,7 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
-from schwarznorm._integrate import _BLOCK_NODES, _GL_W, _GL_X, _panel_breaks
+from schwarznorm._integrate import _BLOCK_NODES, _CUM, _GL_N, _GL_W, _GL_X, _panel_breaks
 from schwarznorm._sampling import disk_samples
 from schwarznorm.jets import jet_exp, jet_integrate
 from schwarznorm.norms import weighted_modulus
@@ -529,6 +529,20 @@ class TestOriginJet:
         assert vars(f) == before
 
 
+def integrand_sizes():
+    """A member and a closed-form kind of each route's integrand, with the
+    node count of every integrand call recorded into a list."""
+    cases = [
+        (random_member(ClassSpec(2.0, True), 3, 4), "_preschwarzian"),
+        (ExtremalFcLambda(2.5, np.exp(0.7j)), "_deriv"),
+    ]
+    for f, integrand in cases:
+        sizes = []
+        hook = getattr(f, integrand)
+        setattr(f, integrand, lambda zs, hook=hook: sizes.append(zs.size) or hook(zs))
+        yield f, sizes
+
+
 # The scattered-point integral from before ``ExtremalFcLambda`` took f as
 # the G output of ``exp_path_integrals``, kept verbatim as the reference.
 def reference_segment_integral(func, zs):
@@ -546,6 +560,28 @@ def reference_segment_integral(func, zs):
     return out.reshape(zs.shape)
 
 
+# The scattered-point loop from before its integrand calls took blocks of
+# panels, one call per panel, kept verbatim as the reference.
+def reference_exp_path_integrals(p_func, zs, need_outer=True):
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
+    g = np.zeros_like(flat)
+    f = np.zeros_like(flat)
+    if flat.size:
+        breaks = _panel_breaks(float(np.max(np.abs(flat))))
+        for ta, tb in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (tb - ta)
+            nodes = ta + half * (_GL_X + 1.0)
+            w = flat[:, None] * nodes[None, :]
+            pv = p_func(w)
+            scale = half * flat
+            if need_outer:
+                g_nodes = g[:, None] + scale[:, None] * (pv @ _CUM.T)
+                f += scale * (np.exp(g_nodes) @ _GL_W)
+            g = g + scale * (pv @ _GL_W)
+    return g.reshape(zs.shape), f.reshape(zs.shape)
+
+
 SEGMENT_POINTS = {
     "0-d": lambda: np.asarray(0.3 - 0.4j),
     "0-d_origin": lambda: np.asarray(0j),
@@ -553,12 +589,22 @@ SEGMENT_POINTS = {
     "2-D": lambda: bit_points(60, seed=5).reshape(6, 10),
     "1000_at_0.99": lambda: disk_samples(1000, 0.99),
     "200_at_0.999": lambda: disk_samples(200, 0.999),
+    # one block of all 8 panels, 4 panels a block, 1 panel a block at the
+    # bound, and one panel of more than _BLOCK_NODES nodes per call
+    **{f"{n}_points": (lambda n=n: bit_points(n, seed=n)) for n in (1, 4, 512, 513, 1024, 1100)},
+}
+
+SEGMENT_MEMBERS = {
+    "degree_0": lambda: random_member(ClassSpec(2.0), 7, 0),
+    "F_degree_4": lambda: random_member(ClassSpec(2.0), 4, 4),
+    "F0_degree_8": lambda: random_member(ClassSpec(3.0, True), 9, 8),
 }
 
 
 class TestSegmentIntegralBitIdentity:
-    """f of ``ExtremalFcLambda`` from ``exp_path_integrals`` has the bits of
-    the former one-integral routine, for every point-set shape."""
+    """f of ``ExtremalFcLambda`` and f, f' of Schur-built members from
+    ``exp_path_integrals`` have the bits of the former one-call-per-panel
+    loops, for every point-set shape."""
 
     @pytest.mark.parametrize("points", sorted(SEGMENT_POINTS))
     @pytest.mark.parametrize("lam", [1.0, -1j, np.exp(0.7j)])
@@ -567,6 +613,34 @@ class TestSegmentIntegralBitIdentity:
         f = ExtremalFcLambda(c, lam)
         zs = SEGMENT_POINTS[points]()
         assert same_bits(f.value(zs), reference_segment_integral(f._deriv, zs))
+
+    @pytest.mark.parametrize("points", sorted(SEGMENT_POINTS))
+    @pytest.mark.parametrize("name", sorted(SEGMENT_MEMBERS))
+    def test_member_values_and_derivatives(self, name, points):
+        f = SEGMENT_MEMBERS[name]()
+        zs = SEGMENT_POINTS[points]()
+        g, want_v = reference_exp_path_integrals(f._preschwarzian, zs)
+        want_d = np.exp(g)
+        assert same_bits(f.value(zs), want_v)
+        assert same_bits(f.deriv(zs), want_d)
+        fv, fp = f._value_and_deriv(zs)
+        assert same_bits(fv, want_v) and same_bits(fp, want_d)
+
+    @pytest.mark.parametrize("count", [1, 4, 200, 512, 513, 1100])
+    def test_panel_blocks_stay_within_the_block_bound(self, count):
+        # blocks of whole panels: a call of several panels stays within
+        # _BLOCK_NODES nodes (128 KiB), a larger panel is a call of its own,
+        # and together they take 16 nodes per point and panel
+        zs = disk_samples(count, VALUE_SAMPLE_RADIUS)
+        panels = _panel_breaks(float(np.max(np.abs(zs)))).size - 1
+        panel_nodes = count * _GL_N
+        per_call = max(1, _BLOCK_NODES // panel_nodes)
+        for f, sizes in integrand_sizes():
+            f.value(zs)
+            assert all(size % panel_nodes == 0 for size in sizes), (f, sizes)
+            assert max(sizes) <= max(_BLOCK_NODES, panel_nodes), (f, count, max(sizes))
+            assert len(sizes) == -(-panels // per_call), (f, count, sizes)
+            assert sum(sizes) == panels * panel_nodes, (f, count, sum(sizes))
 
 
 # The per-kind scalar formulas from before the P_f and S_f hooks served
@@ -748,23 +822,9 @@ class TestPolarValue:
         for gridsize in (5, 50, 100, 200):  # at 5 the gaps are split into panels
             self.assert_matches_value(f, gridsize)
 
-    @staticmethod
-    def integrand_sizes():
-        """A member and a closed-form kind of each route's integrand, with
-        the node count of every integrand call recorded into a list."""
-        cases = [
-            (random_member(ClassSpec(2.0, True), 3, 4), "_preschwarzian"),
-            (ExtremalFcLambda(2.5, np.exp(0.7j)), "_deriv"),
-        ]
-        for f, integrand in cases:
-            sizes = []
-            hook = getattr(f, integrand)
-            setattr(f, integrand, lambda zs, hook=hook: sizes.append(zs.size) or hook(zs))
-            yield f, sizes
-
     def test_one_integration_pass_per_ray(self):
         # 16 integrand values per grid node; value() takes 8 panels of 16
-        for f, sizes in self.integrand_sizes():
+        for f, sizes in integrand_sizes():
             f._polar_value(*polar_grid(50))
             assert sum(sizes) == 50 * 50 * 16, (f, sizes)
 
@@ -772,7 +832,7 @@ class TestPolarValue:
     def test_ray_blocks_stay_within_the_block_bound(self, gridsize):
         # blocks of whole rays: no integrand call exceeds _BLOCK_NODES nodes,
         # and together they still take 16 nodes per grid node
-        for f, sizes in self.integrand_sizes():
+        for f, sizes in integrand_sizes():
             f._polar_value(*polar_grid(gridsize))
             assert max(sizes) <= _BLOCK_NODES, (f, gridsize, max(sizes))
             assert sum(sizes) == gridsize * gridsize * 16, (f, gridsize, sum(sizes))

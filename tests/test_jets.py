@@ -16,6 +16,7 @@ from schwarznorm.jets import (
     jet_exp,
     jet_identity,
     jet_integrate,
+    jet_linear,
     jet_log,
     jet_mul,
     jet_pow,
@@ -99,6 +100,75 @@ class TestDiv:
     def test_singular_leading_coefficient(self):
         with pytest.raises(DivisionBySingular):
             jet_div(J(1, 1), J(1e-14, 1))
+
+
+# The quotient recurrence from before it skipped b's zero coefficients,
+# kept verbatim as the reference.
+def former_jet_div(a, b):
+    n = min(a.order, b.order)
+    q = [0j] * (n + 1)
+    b0 = b.coeffs[0]
+    for k in range(n + 1):
+        acc = a.coeffs[k]
+        for i in range(k):
+            acc -= q[i] * b.coeffs[k - i]
+        q[k] = acc / b0
+    return TaylorJet(a.center, tuple(q))
+
+
+def coeff_bits(jet):
+    return np.array(jet.coeffs, dtype=complex).tobytes()
+
+
+# every sign of zero in each part, next to values that are not zero
+SIGNED_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5)
+SIGNED_VALUES = [complex(x, y) for x in SIGNED_PARTS for y in SIGNED_PARTS]
+SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+
+
+class TestDivSkipsZeroTerms:
+    """``jet_div`` skips the terms of b's zero coefficients and keeps the bits
+    of the full recurrence."""
+
+    def assert_former_bits(self, a, b):
+        assert coeff_bits(jet_div(a, b)) == coeff_bits(former_jet_div(a, b)), (a, b)
+
+    def test_dense_jets(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            self.assert_former_bits(random_jet(rng, order=12), random_jet(rng, order=12))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 8, 32])
+    def test_linear_denominators(self, order):
+        # the Blaschke factor quotients of SchurFunction.jet
+        rng = np.random.default_rng(order)
+        for _ in range(20):
+            a, center = complex(*rng.uniform(-0.9, 0.9, 2)), complex(*rng.uniform(-0.5, 0.5, 2))
+            num = jet_linear(center - a, 1.0, center, order)
+            den = jet_linear(1.0 - a.conjugate() * center, -a.conjugate(), center, order)
+            self.assert_former_bits(num, den)
+            self.assert_former_bits(random_jet(rng, order, center), den)
+
+    def test_interior_zero_coefficients(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a, b = random_jet(rng, order=10), random_jet(rng, order=10)
+            holes = rng.uniform(size=10) < 0.5
+            b = TaylorJet(b.center, (b.coeffs[0],) + tuple(
+                0j if hole else c for hole, c in zip(holes, b.coeffs[1:])))
+            self.assert_former_bits(a, b)
+
+    def test_signed_zero_components(self):
+        # zeros of either sign in a, in b's zero coefficients and in the
+        # quotients: -1 / 1 gives q_0 = -1 + 0j, whose product with a zero
+        # b_1 is -0 + 0j, and that turns a -0 accumulator to +0
+        self.assert_former_bits(J(-1, complex(-0.0, 0.0)), J(1, 0))
+        rng = np.random.default_rng(6)
+        leads = [1, -1, 1j, -1j, complex(-1, -0.0), complex(0.5, -0.0)]
+        for _ in range(3000):
+            a = J(*rng.choice(SIGNED_VALUES, 5))
+            b = J(rng.choice(leads), *rng.choice(SIGNED_ZEROS * 4 + SIGNED_VALUES, 4))
+            self.assert_former_bits(a, b)
 
 
 class TestExpLog:

@@ -3,9 +3,11 @@
     python tools/compare.py [--env NAME=VALUE]... OLD_TREE NEW_TREE
 
 Each tree runs in its own Python process with PYTHONPATH=<tree>/src and
-produces a standard set of 17 outputs: the 16 CLI invocations in COMMANDS,
-run through ``schwarznorm.cli.main``, and the NormEstimate dicts of the 122
-norm-sweep searches.  The script prints every exit-code difference, every
+produces a standard set of 18 outputs: the 16 CLI invocations in COMMANDS,
+run through ``schwarznorm.cli.main``, the NormEstimate dicts of the 122
+norm-sweep searches, and the pointwise routes: order-32 jets, P_f and S_f
+at three points z != 0, and f and f' at 1, 4, 200 and 1,000 points, on
+Koebe, f_{c,lambda} and two Schur-built members.  The script prints every exit-code difference, every
 JSON value that moved (by path, old -> new), a text diff of any other stdout
 and of stderr without its wall-clock line, and exits 0 only when nothing
 moved (1 when something did, 2 when a tree could not run the set).
@@ -86,8 +88,37 @@ for c in (1.0, 2.0, 3.0):
     maps += [(f"ExtremalFc({c})", sn.ExtremalFc(c)), (f"ExtremalFcStar({c})", sn.ExtremalFcStar(c))]
 sweep = {f"{label} {which}": sn.hyperbolic_norm(f, which).to_json_dict()
          for label, f in maps for which in ("pre_schwarzian", "schwarzian")}
-print(json.dumps({"module": sn.__file__, "runs": runs, "norm_sweep": sweep}))
+
+# The jet route and scattered path integrals below thm2.2's 200 points,
+# which no CLI invocation above reaches.
+from schwarznorm._sampling import disk_samples
+
+def pairs(values):
+    return [[z.real, z.imag] for z in map(complex, values)]
+
+pointwise = {}
+for label, f in [
+    ("Koebe()", sn.Koebe()),
+    ("ExtremalFcLambda(2.0, 0.6+0.8j)", sn.ExtremalFcLambda(2.0, 0.6 + 0.8j)),
+    ("random_member(ClassSpec(2.0, False), 4, 4)", sn.random_member(sn.ClassSpec(2.0, False), 4, 4)),
+    ("random_member(ClassSpec(3.0, True), 8, 8)", sn.random_member(sn.ClassSpec(3.0, True), 8, 8)),
+]:
+    for z in (0.3 - 0.2j, -0.6 + 0.5j, 0.9j):
+        pointwise[f"{label} jet_at({z}, 32)"] = pairs(sn.jet_at(f, z, 32).coeffs)
+        pointwise[f"{label} preschwarzian_at({z})"] = pairs([sn.preschwarzian_at(f, z)])
+        pointwise[f"{label} schwarzian_at({z})"] = pairs([sn.schwarzian_at(f, z)])
+    for count in (1, 4, 200, 1000):
+        zs = disk_samples(count, 0.99)
+        pointwise[f"{label} value at {count} points"] = pairs(f.value(zs))
+        pointwise[f"{label} deriv at {count} points"] = pairs(f.deriv(zs))
+print(json.dumps({"module": sn.__file__, "runs": runs, "norm_sweep": sweep, "pointwise": pointwise}))
 """
+
+# The outputs besides COMMANDS: key in the child's JSON object, and title
+OUTPUT_SETS = {
+    "norm_sweep": "norm-sweep NormEstimate dicts",
+    "pointwise": "pointwise jets, P_f, S_f, f and f'",
+}
 
 _ABSENT = object()
 
@@ -158,9 +189,10 @@ def compare(old: dict, new: dict) -> list[tuple[str, list[str]]]:
         lines += text_moves(a["stderr"], b["stderr"], "stderr")
         if lines:
             report.append((" ".join(argv), lines))
-    lines = list(json_moves(old["norm_sweep"], new["norm_sweep"]))
-    if lines:
-        report.append(("norm-sweep NormEstimate dicts", lines))
+    for key, title in OUTPUT_SETS.items():
+        lines = list(json_moves(old[key], new[key]))
+        if lines:
+            report.append((title, lines))
     return report
 
 
@@ -190,8 +222,9 @@ def main() -> int:
         print(f"## {title}")
         print("\n".join(f"  {line}" for line in lines))
     moved = sum(len(lines) for _, lines in report)
-    print(f"{moved} moved line(s) in {len(report)} of {len(COMMANDS) + 1} outputs"
-          if report else f"nothing moved in {len(COMMANDS) + 1} outputs")
+    outputs = len(COMMANDS) + len(OUTPUT_SETS)
+    print(f"{moved} moved line(s) in {len(report)} of {outputs} outputs"
+          if report else f"nothing moved in {outputs} outputs")
     return 1 if report else 0
 
 
