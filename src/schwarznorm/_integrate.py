@@ -36,7 +36,7 @@ blocks are whole panels of all points, stacked panel-major, and G and F
 accumulate panel by panel with the bits of one call per panel: elementwise
 ufuncs do not depend on an element's position or the array's length, and
 a block of several panels stays under 256 KiB.  A one-point query (a jet
-at z != 0, a scalar ``value``) makes one call for its 8 panels.
+at z != 0, a scalar ``value``) makes one call for all of its 6 to 9 panels.
 """
 
 from __future__ import annotations

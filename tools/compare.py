@@ -5,12 +5,13 @@
 Each tree runs in its own Python process with PYTHONPATH=<tree>/src and
 produces a standard set of 18 outputs: the 16 CLI invocations in COMMANDS,
 run through ``schwarznorm.cli.main``, the NormEstimate dicts of the 122
-norm-sweep searches, and the pointwise routes: order-32 jets, P_f and S_f
-at three points z != 0, and f and f' at 1, 4, 200 and 1,000 points, on
-Koebe, f_{c,lambda} and two Schur-built members.  The script prints every exit-code difference, every
-JSON value that moved (by path, old -> new), a text diff of any other stdout
-and of stderr without its wall-clock line, and exits 0 only when nothing
-moved (1 when something did, 2 when a tree could not run the set).
+norm-sweep searches, and the pointwise routes: order-32 jets, P_f and S_f at
+three points z != 0, and f and f' at 1, 4, 200 and 1,000 points, on Koebe,
+f_{c,lambda} and two Schur-built members.  The script prints every exit-code
+difference, every JSON value that moved (by path, old -> new), a text diff
+of any other stdout and of stderr without its wall-clock line, and exits 0
+only when nothing moved (1 when something did, 2 when a tree could not run
+the set).
 
 Values are compared bit for bit, so both trees must run on the same machine:
 numpy picks some floating-point loops by CPU feature.  Run against itself
