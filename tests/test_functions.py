@@ -589,8 +589,8 @@ SEGMENT_POINTS = {
     "2-D": lambda: bit_points(60, seed=5).reshape(6, 10),
     "1000_at_0.99": lambda: disk_samples(1000, 0.99),
     "200_at_0.999": lambda: disk_samples(200, 0.999),
-    # one block of all 8 panels, 4 panels a block, 1 panel a block at the
-    # bound, and one panel of more than _BLOCK_NODES nodes per call
+    # every panel in one call (1 and 4 points), one panel a call at the
+    # bound (512), and panels of more than _BLOCK_NODES nodes (513 and up)
     **{f"{n}_points": (lambda n=n: bit_points(n, seed=n)) for n in (1, 4, 512, 513, 1024, 1100)},
 }
 
