@@ -15,15 +15,14 @@ Two kinds of integrals show up:
   - scattered points (``exp_path_integrals``, the only route for them):
     each point z is integrated on its own, over dyadically graded panels
     of [0, z] accumulating toward the endpoint.  Every ``value``,
-    ``deriv`` and ``jet`` query takes this route; a plain integral of an
-    integrand is its G output with ``need_outer=False``.
-  - polar grids (``ray_path_integrals``): each ray is integrated once,
-    with one panel between neighbouring radii, and the values at all radii
-    are cumulative sums of the panel integrals.  The polar-grid value hook
-    (``_polar_value``) of the path-integrated functions takes this route,
+    ``deriv`` and ``jet`` query takes this route; f' alone is exp of its
+    G output with ``need_outer=False``.
+  - polar grids (``ray_path_integrals``, F only): each ray is integrated
+    once, with one panel between neighbouring radii, and the values at all
+    radii are cumulative sums of the panel integrals.  The polar-grid value
+    hook (``_polar_value``) of the Schur-built members takes this route,
     and ``univalence_bruteforce`` is its caller.  A gap longer than the
-    distance from the last radius to the circle is split into equal
-    panels.
+    distance from the last radius to the circle is split into equal panels.
 
 Both routes evaluate the integrand over blocks of at most ``_BLOCK_NODES``
 nodes (or one ray or panel that alone has more), so each complex temporary
@@ -112,9 +111,8 @@ def ray_path_integrals(
     p_func: Callable[[np.ndarray], np.ndarray],
     radii: np.ndarray,
     thetas: np.ndarray,
-    need_outer: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(G, F) of :func:`exp_path_integrals` at radii[k] * exp(i thetas[j]).
+) -> np.ndarray:
+    """F of :func:`exp_path_integrals` at radii[k] * exp(i thetas[j]).
 
     ``radii`` must be increasing, positive and below 1.  Each ray is cut
     at 0 and at every radius, and each gap is split into the fewest equal
@@ -122,7 +120,7 @@ def ray_path_integrals(
     With radii that close together (0.98 * k/n for n >= 49) that is one
     panel per gap, and ``p_func`` is evaluated 16 times per grid node, over
     blocks of whole rays of at most ``_BLOCK_NODES`` nodes (one ray when a
-    ray alone has more).  Both outputs have shape (len(radii), len(thetas)).
+    ray alone has more).  The output has shape (len(radii), len(thetas)).
     """
     radii = np.asarray(radii, dtype=float)
     dirs = np.exp(1j * np.asarray(thetas, dtype=float))
@@ -132,30 +130,23 @@ def ray_path_integrals(
     half = np.repeat(0.5 * gaps / m, m)
     starts = np.repeat(breaks[:-1], m) + 2.0 * half * np.tile(np.arange(m), radii.size)
     nodes = starts[:, None] + half[:, None] * (_GL_X + 1.0)
-    g = np.empty((radii.size, dirs.size), dtype=complex)
-    f = np.zeros_like(g)
+    f = np.empty((radii.size, dirs.size), dtype=complex)
     step = max(1, _BLOCK_NODES // nodes.size)
     for lo in range(0, dirs.size, step):
         rays = slice(lo, lo + step)
-        g_rays, f_rays = _ray_block(p_func, dirs[rays], nodes, half, need_outer)
-        g[:, rays] = g_rays[:, m - 1 :: m].T
-        f[:, rays] = f_rays[:, m - 1 :: m].T
-    return g, f
+        f[:, rays] = _ray_block(p_func, dirs[rays], nodes, half)[:, m - 1 :: m].T
+    return f
 
 
-def _ray_block(p_func, dirs, nodes, half, need_outer):
-    """G and F at the end of every panel of the rays ``dirs``, shape
-    (ray, panel); F is zeros when ``need_outer`` is false."""
+def _ray_block(p_func, dirs, nodes, half):
+    """F at the end of every panel of the rays ``dirs``, shape (ray, panel)."""
     w = dirs[:, None, None] * nodes[None, :, :]  # (ray, panel, node)
     pv = p_func(w)
     scale = dirs[:, None] * half[None, :]
     g = np.cumsum(scale * (pv @ _GL_W), axis=1)
-    f = np.zeros_like(g)
-    if need_outer:
-        g_start = np.concatenate([np.zeros((dirs.size, 1)), g[:, :-1]], axis=1)
-        g_nodes = g_start[:, :, None] + scale[:, :, None] * (pv @ _CUM.T)
-        f = np.cumsum(scale * (np.exp(g_nodes) @ _GL_W), axis=1)
-    return g, f
+    g_start = np.concatenate([np.zeros((dirs.size, 1)), g[:, :-1]], axis=1)
+    g_nodes = g_start[:, :, None] + scale[:, :, None] * (pv @ _CUM.T)
+    return np.cumsum(scale * (np.exp(g_nodes) @ _GL_W), axis=1)
 
 
 # Recursion depth cap of ``adaptive_simpson``

@@ -1,16 +1,17 @@
 """Analytic functions on the unit disk, queryable for jets at any point.
 
-The zoo has three layers:
+The zoo has two layers:
 
 * a closed-form gallery (identity, Koebe, half-plane, general Moebius maps,
   polynomials) with exact derivative formulas;
-* the extremal families ``f_c``, ``f_c*`` and ``f_{c,lambda}`` attached to
-  the convex-type classes F(c): members of the normalized class A whose
-  curvature quantity 1 + z f''/f' has real part above 1 - c/2;
-* seeded random members of F(c) and F0(c) built from subordination data:
-  a Schur function s turns into omega(z) = z*s(z) (or z^2*s(z) for the
-  f''(0)=0 subclass), and f is reconstructed from
-  f''/f' = c*phi/(1 - z*phi) with phi = omega/z.
+* members of the convex-type classes F(c) and F0(c) (maps of the
+  normalized class A whose curvature quantity 1 + z f''/f' has real part
+  above 1 - c/2), built from subordination data: a Schur function s turns
+  into omega(z) = z*s(z) (or z^2*s(z) for the f''(0)=0 subclass), and f is
+  reconstructed from f''/f' = c*phi/(1 - z*phi) with phi = omega/z.  The
+  extremal maps are the members with a unimodular constant s: ``f_c``
+  (s == 1) and ``f_c*``, ``f_{c,lambda}`` (F0 with s == lambda).  Seeded
+  random members draw s from finite Blaschke products.
 
 Subordination members keep their Schur data, so f''/f' and the Schwarzian
 are evaluated from exact rational expressions everywhere in the disk; f and
@@ -47,9 +48,7 @@ from .jets import (
     jet_identity,
     jet_integrate,
     jet_linear,
-    jet_log,
     jet_mul,
-    jet_pow,
     jet_scale,
 )
 
@@ -227,7 +226,6 @@ class AnalyticFunction:
     """
 
     kind = "abstract"
-    is_mobius = False
     is_class_a = False
     # maps defined beyond the closed disk (rational/entire) set this False,
     # which lets compositions feed them values from anywhere
@@ -288,7 +286,6 @@ class AnalyticFunction:
 
 class Identity(AnalyticFunction):
     kind = "identity"
-    is_mobius = True
     is_class_a = True
 
     def _value(self, zs):
@@ -357,7 +354,6 @@ class Mobius(AnalyticFunction):
         self.det = det
         if _kind:
             self.kind = _kind
-        self.is_mobius = True
         if abs(d) > SINGULAR_TOL:
             self.is_class_a = (
                 abs(b / d) < 1e-12 and abs(det / (d * d) - 1.0) < 1e-12
@@ -465,114 +461,6 @@ class Polynomial(AnalyticFunction):
         return {"kind": "polynomial", "coeffs": [_pair(c) for c in self.coeffs]}
 
 
-class ExtremalFc(AnalyticFunction):
-    """f_c(z) = ((1-z)^(1-c) - 1)/(c - 1), the boundary-sharp member of
-    F(c); degenerates to -log(1-z) at c = 1 (removable in the parameter)."""
-
-    kind = "extremal_fc"
-
-    def __init__(self, c: float):
-        self.c = float(ClassSpec(c).c)
-        self._log_limit = abs(self.c - 1.0) < 1e-8
-        self.is_class_a = True
-        self.is_mobius = abs(self.c - 2.0) <= 1e-12
-
-    def _value(self, zs):
-        if self._log_limit:
-            return -np.log(1.0 - zs)
-        return ((1.0 - zs) ** (1.0 - self.c) - 1.0) / (self.c - 1.0)
-
-    def _deriv(self, zs):
-        return (1.0 - zs) ** (-self.c)
-
-    def _preschwarzian(self, zs):
-        return self.c / (1.0 - zs)
-
-    def _schwarzian(self, zs):
-        return (self.c * (2.0 - self.c) / 2.0) / (1.0 - zs) ** 2
-
-    def jet(self, z, order):
-        z = complex(z)
-        base = jet_linear(1.0 - z, -1.0, z, order)
-        if self._log_limit:
-            return jet_scale(jet_log(base), -1.0)
-        pw = jet_pow(base, 1.0 - self.c)
-        shift = jet_constant(-1.0, order, z)
-        return jet_scale(jet_add(pw, shift), 1.0 / (self.c - 1.0))
-
-    def descriptor(self):
-        return {"kind": "extremal_fc", "params": {"c": self.c}}
-
-
-class ExtremalFcLambda(AnalyticFunction):
-    """Analytic map with f'(z) = (1 - lambda z^2)^(-c/2), |lambda| = 1.
-
-    Its modulus along rays realizes the sharp growth/distortion bounds of
-    F0(c); lambda = 1 gives the odd extremal f_c*.
-    """
-
-    kind = "extremal_fc_lambda"
-
-    def __init__(self, c: float, lam: complex):
-        self.c = float(ClassSpec(c).c)
-        lam = complex(lam)
-        if not abs(abs(lam) - 1.0) <= 1e-12:
-            raise ValueError("lambda must be unimodular")
-        self.lam = lam / abs(lam)
-        self.is_class_a = True
-
-    def _value(self, zs):
-        f, _ = exp_path_integrals(self._deriv, zs, need_outer=False)  # G: f' integrated
-        return f
-
-    def _polar_value(self, radii, thetas):
-        f, _ = ray_path_integrals(self._deriv, radii, thetas, need_outer=False)
-        return f
-
-    def _deriv(self, zs):
-        return (1.0 - self.lam * zs * zs) ** (-self.c / 2.0)
-
-    def _preschwarzian(self, zs):
-        return self.c * self.lam * zs / (1.0 - self.lam * zs * zs)
-
-    def _schwarzian(self, zs):
-        lzz = self.lam * zs * zs
-        return self.c * self.lam * (1.0 + (1.0 - self.c / 2.0) * lzz) / (1.0 - lzz) ** 2
-
-    def _deriv_jet(self, z, order):
-        quad = TaylorJet(
-            z, (1.0 - self.lam * z * z, -2.0 * self.lam * z, -self.lam)
-        ).padded(order)
-        return jet_pow(quad.truncated(order), -self.c / 2.0)
-
-    def jet(self, z, order):
-        z = complex(z)
-        if order == 0:
-            return TaylorJet(z, (self.value(z),))
-        fp = self._deriv_jet(z, order - 1)
-        coeffs = [self.value(z)] + [fp.coeffs[k] / (k + 1) for k in range(order)]
-        return TaylorJet(z, tuple(coeffs))
-
-    def descriptor(self):
-        return {
-            "kind": "extremal_fc_lambda",
-            "params": {"c": self.c, "lam": _pair(self.lam)},
-        }
-
-
-class ExtremalFcStar(ExtremalFcLambda):
-    """f_c*(z): antiderivative of (1 - z^2)^(-c/2); the odd, f''(0) = 0
-    norm extremal of F0(c)."""
-
-    kind = "extremal_fc_star"
-
-    def __init__(self, c: float):
-        super().__init__(c, 1.0)
-
-    def descriptor(self):
-        return {"kind": "extremal_fc_star", "params": {"c": self.c}}
-
-
 class SubordinationMember(AnalyticFunction):
     """Member of F(c) (or F0(c)) reconstructed from Schur data.
 
@@ -617,8 +505,7 @@ class SubordinationMember(AnalyticFunction):
         return f
 
     def _polar_value(self, radii, thetas):
-        _, f = ray_path_integrals(self._preschwarzian, radii, thetas)
-        return f
+        return ray_path_integrals(self._preschwarzian, radii, thetas)
 
     def _deriv(self, zs):
         g, _ = exp_path_integrals(self._preschwarzian, zs, need_outer=False)
@@ -680,7 +567,6 @@ class Composition(AnalyticFunction):
         self.outer = outer
         self.inner = inner
         self.domain_is_disk = outer.domain_is_disk or inner.domain_is_disk
-        self.is_mobius = outer.is_mobius and inner.is_mobius
         try:
             self.is_class_a = (
                 abs(self.value(0j)) < 1e-12 and abs(self.deriv(0j) - 1.0) < 1e-12
@@ -820,6 +706,25 @@ def random_member(spec: ClassSpec, seed: int, degree: int) -> SubordinationMembe
     schur = random_schur(seed, degree)
     variant = "F0" if spec.zero_second_derivative else "F"
     return SubordinationMember(spec.c, schur, variant, seed=seed)
+
+
+def ExtremalFc(c: float) -> SubordinationMember:
+    """f_c(z) = ((1-z)^(1-c) - 1)/(c - 1), -log(1-z) at c = 1: the
+    boundary-sharp member of F(c), with s == 1 and f' = (1-z)^(-c)."""
+    return SubordinationMember(c, SchurFunction.blaschke((), 1.0), "F")
+
+
+def ExtremalFcLambda(c: float, lam: complex) -> SubordinationMember:
+    """The member of F0(c) with s == lambda, |lambda| = 1, and so
+    f'(z) = (1 - lambda z^2)^(-c/2); its modulus along rays realizes the
+    sharp growth/distortion bounds of F0(c)."""
+    return SubordinationMember(c, SchurFunction.blaschke((), lam), "F0")
+
+
+def ExtremalFcStar(c: float) -> SubordinationMember:
+    """f_c*, the antiderivative of (1 - z^2)^(-c/2): the odd, f''(0) = 0
+    norm extremal of F0(c)."""
+    return ExtremalFcLambda(c, 1.0)
 
 
 def jet_at(f: AnalyticFunction, z: complex, order: int) -> TaylorJet:

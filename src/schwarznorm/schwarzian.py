@@ -3,9 +3,9 @@ identities they satisfy (chain rule, Moebius invariance, the linear-ODE
 relation), exposed as residual-checkable operations.
 
 Definitions: P_f = f''/f' and S_f = P_f' - P_f^2 / 2.  Everything here goes
-through jets, so the formulas hold uniformly for gallery members,
-integral-defined extremals and series-defined members; closed forms, where
-a function carries them, serve as independent cross-checks in the tests.
+through jets, so the formulas hold uniformly for gallery maps and the
+path-integrated Schur-built members; closed forms, where a function carries
+them, serve as independent cross-checks in the tests.
 """
 
 from __future__ import annotations

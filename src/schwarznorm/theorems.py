@@ -126,10 +126,10 @@ def membership_status(
 ) -> MembershipVerdict:
     """Decide membership in F(c) from the defining real-part inequality.
 
-    Functions assembled from subordination data are members by
-    construction (for their own c and anything larger) and only get a
-    smoke test; everything else is sampled on a low-discrepancy disk set
-    with radii up to 1 - 1e-4.  A singular sample (f' = 0 there) is itself
+    Functions assembled from subordination data, the extremal maps f_c,
+    f_c* and f_{c,lambda} among them, are members by construction (for
+    their own c and anything larger) and only get a smoke test; everything
+    else is sampled on a low-discrepancy disk set with radii up to 1 - 1e-4.  A singular sample (f' = 0 there) is itself
     a violation witness, since f then fails local univalence.
     """
     if samples < 100:

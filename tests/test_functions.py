@@ -69,7 +69,7 @@ class TestGallery:
     def test_half_plane(self):
         f = half_plane()
         assert abs(f.value(0j) - 1.0) < 1e-15
-        assert f.is_mobius and not f.is_class_a
+        assert not f.is_class_a
 
     def test_mobius_identity_detection(self):
         assert Mobius(1, 0, 0, 1).is_class_a
@@ -93,7 +93,11 @@ class TestExtremalFc:
         assert max(abs(g - w) for g, w in zip(j.coeffs, (0, 1, 1, 1, 1, 1))) < 1e-12
 
     def test_c2_is_mobius(self):
-        assert ExtremalFc(2.0).is_mobius
+        # f_2 = z/(1-z): S_f vanishes identically, on the array and scalar routes
+        f = ExtremalFc(2.0)
+        zs = bit_points(200)
+        assert not np.any(f.schwarzian(zs))
+        assert all(f.schwarzian(z) == 0 for z in zs[:20].tolist())
 
     def test_c1_log_series(self):
         j = jet_at(ExtremalFc(1.0), 0j, 4)
@@ -182,6 +186,79 @@ class TestExtremalFcLambda:
         with pytest.raises(ValueError):
             ExtremalFcLambda(2.0, 0.5)
 
+
+# The closed forms by which f_c, f_c* and f_{c,lambda} were evaluated before
+# they were Schur-built members, kept verbatim as the oracle: f and f' in
+# numpy on arrays, P_f and S_f on arrays and plain complexes alike.
+def former_fc(c):
+    """(f, f', P_f, S_f) of the former f_c, with its log branch at c = 1."""
+
+    def value(zs):
+        if abs(c - 1.0) < 1e-8:
+            return -np.log(1.0 - zs)
+        return ((1.0 - zs) ** (1.0 - c) - 1.0) / (c - 1.0)
+
+    return (value,
+            lambda zs: (1.0 - zs) ** (-c),
+            lambda zs: c / (1.0 - zs),
+            lambda zs: (c * (2.0 - c) / 2.0) / (1.0 - zs) ** 2)
+
+
+def former_fc_lambda(c, lam):
+    """(f, f', P_f, S_f) of the former f_{c,lambda}: its f integrated its
+    closed-form f' by the segment rule kept below."""
+    lam = complex(lam) / abs(lam)
+
+    def deriv(zs):
+        return (1.0 - lam * zs * zs) ** (-c / 2.0)
+
+    def schwarzian(zs):
+        lzz = lam * zs * zs
+        return c * lam * (1.0 + (1.0 - c / 2.0) * lzz) / (1.0 - lzz) ** 2
+
+    return (lambda zs: reference_segment_integral(deriv, zs),
+            deriv,
+            lambda zs: c * lam * zs / (1.0 - lam * zs * zs),
+            schwarzian)
+
+
+def former_oracle_points(lam):
+    """Halton points up to |z| = 0.999, and radii up to 0.999 toward the
+    singularities of f_c (z = 1, lam = 1) and of f_{c,lambda}
+    (lambda z^2 = 1)."""
+    half = -cmath.phase(lam) / 2
+    angles = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, half, half + np.pi])
+    radii = np.array([0.3, 0.9, 0.99, 0.999])
+    rays = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    return np.concatenate([disk_samples(500, 0.999), rays])
+
+
+@pytest.mark.parametrize("c", (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+@pytest.mark.parametrize("kind, lam", [
+    ("fc", 1.0), ("fc_star", 1.0),
+    *(("fc_lambda", lam) for lam in (1.0, -1.0, 1j, np.exp(0.7j))),
+], ids=["fc", "fc_star", "fc_lambda_1", "fc_lambda_-1", "fc_lambda_1j", "fc_lambda_exp0.7j"])
+def test_extremals_match_the_former_closed_forms(kind, lam, c):
+    # c = 1 is the former log branch of f_c; the bits of P_f and S_f of f_c
+    # and of P_f of f_c* are pinned, which keeps the norm-sweep corpus's
+    # entries for these maps where they are
+    if kind == "fc":
+        f, former, pinned = ExtremalFc(c), former_fc(c), (2, 3)
+    elif kind == "fc_star":
+        f, former, pinned = ExtremalFcStar(c), former_fc_lambda(c, 1.0), (2,)
+    else:
+        f, former, pinned = ExtremalFcLambda(c, lam), former_fc_lambda(c, lam), ()
+    zs = former_oracle_points(lam)
+    queries = (f.value, f.deriv, f.preschwarzian, f.schwarzian)
+    for i, (query, oracle) in enumerate(zip(queries, former)):
+        got, want = query(zs), oracle(zs)
+        # equal values pass where both vanish (S_f of f_2, P_f at 0)
+        err = np.abs(got - want)
+        assert np.all((err == 0) | (err <= 1e-13 * np.abs(want))), i
+        if i in pinned:
+            assert same_bits(got, want), i
+            for z in zs[::7].tolist():
+                assert same_bits(query(z), oracle(z)), (i, z)
 
 class TestSchurFunction:
     def test_constant_bounds(self):
@@ -530,21 +607,18 @@ class TestOriginJet:
 
 
 def integrand_sizes():
-    """A member and a closed-form kind of each route's integrand, with the
-    node count of every integrand call recorded into a list."""
-    cases = [
-        (random_member(ClassSpec(2.0, True), 3, 4), "_preschwarzian"),
-        (ExtremalFcLambda(2.5, np.exp(0.7j)), "_deriv"),
-    ]
-    for f, integrand in cases:
+    """A member of degree 4 and one of degree 0 (f_{c,lambda}), with the node
+    count of every call of the integrand, f''/f', recorded into a list."""
+    for f in (random_member(ClassSpec(2.0, True), 3, 4), ExtremalFcLambda(2.5, np.exp(0.7j))):
         sizes = []
-        hook = getattr(f, integrand)
-        setattr(f, integrand, lambda zs, hook=hook: sizes.append(zs.size) or hook(zs))
+        hook = f._preschwarzian
+        f._preschwarzian = lambda zs, hook=hook: sizes.append(zs.size) or hook(zs)
         yield f, sizes
 
 
-# The scattered-point integral from before ``ExtremalFcLambda`` took f as
-# the G output of ``exp_path_integrals``, kept verbatim as the reference.
+# The scattered-point integral by which f_{c,lambda} was the integral of its
+# closed-form f' before it was a Schur-built member, kept verbatim as the
+# oracle of its f.
 def reference_segment_integral(func, zs):
     """Integral of ``func`` along [0, z] for every z in ``zs``."""
     zs = np.asarray(zs, dtype=complex)
@@ -601,8 +675,19 @@ SEGMENT_MEMBERS = {
 }
 
 
+def assert_member_integrals(f, zs):
+    """f, f' and the fused hook of a Schur-built member have the bits of
+    the one-call-per-panel reference loop."""
+    g, want_v = reference_exp_path_integrals(f._preschwarzian, zs)
+    want_d = np.exp(g)
+    assert same_bits(f.value(zs), want_v)
+    assert same_bits(f.deriv(zs), want_d)
+    fv, fp = f._value_and_deriv(zs)
+    assert same_bits(fv, want_v) and same_bits(fp, want_d)
+
+
 class TestSegmentIntegralBitIdentity:
-    """f of ``ExtremalFcLambda`` and f, f' of Schur-built members from
+    """f and f' of Schur-built members, f_{c,lambda} among them, from
     ``exp_path_integrals`` have the bits of the former one-call-per-panel
     loops, for every point-set shape."""
 
@@ -610,21 +695,12 @@ class TestSegmentIntegralBitIdentity:
     @pytest.mark.parametrize("lam", [1.0, -1j, np.exp(0.7j)])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 2.5, 3.0])
     def test_fc_lambda_values(self, c, lam, points):
-        f = ExtremalFcLambda(c, lam)
-        zs = SEGMENT_POINTS[points]()
-        assert same_bits(f.value(zs), reference_segment_integral(f._deriv, zs))
+        assert_member_integrals(ExtremalFcLambda(c, lam), SEGMENT_POINTS[points]())
 
     @pytest.mark.parametrize("points", sorted(SEGMENT_POINTS))
     @pytest.mark.parametrize("name", sorted(SEGMENT_MEMBERS))
     def test_member_values_and_derivatives(self, name, points):
-        f = SEGMENT_MEMBERS[name]()
-        zs = SEGMENT_POINTS[points]()
-        g, want_v = reference_exp_path_integrals(f._preschwarzian, zs)
-        want_d = np.exp(g)
-        assert same_bits(f.value(zs), want_v)
-        assert same_bits(f.deriv(zs), want_d)
-        fv, fp = f._value_and_deriv(zs)
-        assert same_bits(fv, want_v) and same_bits(fp, want_d)
+        assert_member_integrals(SEGMENT_MEMBERS[name](), SEGMENT_POINTS[points]())
 
     @pytest.mark.parametrize("count", [1, 4, 200, 512, 513, 1100])
     def test_panel_blocks_stay_within_the_block_bound(self, count):
@@ -656,10 +732,6 @@ def reference_p_scalar(f, z):
         if abs(den) <= SINGULAR_TOL:
             raise DivisionBySingular("Moebius pole hit inside the disk")
         return -2.0 * f.c / den
-    if isinstance(f, ExtremalFc):
-        return f.c / (1.0 - z)
-    if isinstance(f, ExtremalFcLambda):
-        return f.c * f.lam * z / (1.0 - f.lam * z * z)
     if isinstance(f, SubordinationMember):
         s = reference_schur_value(f.schur, z)
         phi = z * s if f.variant == "F0" else s
@@ -672,11 +744,6 @@ def reference_s_scalar(f, z):
         return 0j
     if isinstance(f, Koebe):
         return -6.0 / (1.0 - z * z) ** 2
-    if isinstance(f, ExtremalFc):
-        return (f.c * (2.0 - f.c) / 2.0) / (1.0 - z) ** 2
-    if isinstance(f, ExtremalFcLambda):
-        lzz = f.lam * z * z
-        return f.c * f.lam * (1.0 + (1.0 - f.c / 2.0) * lzz) / (1.0 - lzz) ** 2
     if isinstance(f, SubordinationMember):
         return reference_schwarzian(f, z)
     return complex(f._schwarzian(np.asarray(z, dtype=complex))[()])
@@ -782,7 +849,6 @@ def schur_panel(variant, c):
 # Kinds without a ray route; their hook evaluates ``_value`` on the grid.
 DEFAULT_HOOK_KINDS = [
     lambda: Koebe(),
-    lambda: ExtremalFc(1.3),
     lambda: QuadraticPerturbation(random_member(ClassSpec(2.0), 5, 3), 0.2 - 0.1j),
 ]
 
@@ -814,6 +880,7 @@ class TestPolarValue:
             lambda: ExtremalFcStar(3.0),
             lambda: ExtremalFcLambda(2.5, np.exp(0.7j)),
             lambda: ExtremalFcLambda(1.0, -1j),
+            lambda: ExtremalFc(1.3),
             *DEFAULT_HOOK_KINDS,
         ],
     )
@@ -843,6 +910,7 @@ class TestPolarValue:
         others = [
             ExtremalFcStar(c),
             ExtremalFcLambda(c, np.exp(0.7j)),
+            ExtremalFc(1.3),
             *(builder() for builder in DEFAULT_HOOK_KINDS),
             square,
         ]
@@ -905,8 +973,9 @@ class TestComposition:
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
     def test_mobius_composition_stays_mobius(self):
+        # S_f of a Moebius map of a Moebius map vanishes by the chain rule
         comp = Composition(half_plane(), Mobius(0.5, 0, 0, 1))
-        assert comp.is_mobius
+        assert not np.any(comp.schwarzian(bit_points(200)))
 
 
 class TestDescriptors:

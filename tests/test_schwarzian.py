@@ -129,10 +129,8 @@ class TestSchwarzian:
             random_member(ClassSpec(2.0), 23, 3),
         ]
         for f in mobius:
-            assert f.is_mobius
             assert max(abs(schwarzian_at(f, complex(z))) for z in pts) < 1e-9
         for f in others:
-            assert not f.is_mobius
             assert max(abs(schwarzian_at(f, complex(z))) for z in pts) > 1e-3
 
 

@@ -60,7 +60,7 @@ F2 = ExtremalFc(2.0)
 class TestMembership:
     def test_f2_is_member(self):
         verdict = membership_status(F2, 2.0, 1000)
-        assert verdict.status == "empirically_consistent"
+        assert verdict.status == "member_by_construction"
         assert verdict.margin > 0
         assert verdict.witness is None
 
