@@ -1,28 +1,23 @@
-"""Internal quadrature helpers.
+"""Internal quadrature: complex path integrals along the segment [0, z]
+inside the unit disk, which reconstruct f and f' of integral-defined
+functions.
 
-Two kinds of integrals show up:
+The integrands are analytic on the segment but their singularities sit on
+the unit circle, and every panel is handled by a 16-point Gauss-Legendre
+rule whose distance-to-singularity exceeds the panel length, which keeps
+the rule at machine precision.  There are two routes:
 
-* real integrals on [0, r] for growth bounds -- handled by a plain
-  recursive adaptive Simpson rule with a hard depth cap;
-* complex path integrals along the segment [0, z] inside the unit disk,
-  for reconstructing f and f' of integral-defined functions.  The
-  integrands are analytic on the segment but their singularities sit on
-  the unit circle, and every panel is handled by a 16-point
-  Gauss-Legendre rule whose distance-to-singularity exceeds the panel
-  length, which keeps the rule at machine precision.  There are two
-  routes:
-
-  - scattered points (``exp_path_integrals``, the only route for them):
-    each point z is integrated on its own, over dyadically graded panels
-    of [0, z] accumulating toward the endpoint.  Every ``value``,
-    ``deriv`` and ``jet`` query takes this route; f' alone is exp of its
-    G output with ``need_outer=False``.
-  - polar grids (``ray_path_integrals``, F only): each ray is integrated
-    once, with one panel between neighbouring radii, and the values at all
-    radii are cumulative sums of the panel integrals.  The polar-grid value
-    hook (``_polar_value``) of the Schur-built members takes this route,
-    and ``univalence_bruteforce`` is its caller.  A gap longer than the
-    distance from the last radius to the circle is split into equal panels.
+- scattered points (``exp_path_integrals``, the only route for them): each
+  point z is integrated on its own, over dyadically graded panels of [0, z]
+  accumulating toward the endpoint.  Every ``value``, ``deriv`` and ``jet``
+  query takes this route; f' alone is exp of its G output with
+  ``need_outer=False``.
+- rays (``ray_path_integrals``, F only): each ray is integrated once, over
+  fixed graded panels, each at most half as long as the distance from its
+  far end to the circle, and F at every radius is read off its panel's
+  Legendre interpolant of exp(G) (dense output).  The polar-grid value hook
+  (``_polar_value``) of the Schur-built members takes this route; its
+  callers are ``univalence_bruteforce`` and the growth table of thm2.2.
 
 Both routes evaluate the integrand over blocks of at most ``_BLOCK_NODES``
 nodes (or one ray or panel that alone has more), so each complex temporary
@@ -51,19 +46,16 @@ _GL_X, _GL_W = _leg.leggauss(_GL_N)
 # Integrand nodes per block of either route: 128 KiB per complex temporary
 _BLOCK_NODES = 8192
 
-# Cumulative integration matrix on the Gauss-Legendre nodes: given values
-# v_i = p(x_i), (CUM @ v)_j approximates the antiderivative of p from -1
-# to x_j.  Built by mapping node values to Legendre coefficients and
-# integrating the basis exactly.
-_vander = _leg.legvander(_GL_X, _GL_N - 1)
-_coeff_from_vals = np.linalg.inv(_vander)
-_int_basis = np.empty((_GL_N, _GL_N))
-for _k in range(_GL_N):
-    _e = np.zeros(_GL_N)
-    _e[_k] = 1.0
-    _int_basis[:, _k] = _leg.legval(_GL_X, _leg.legint(_e, lbnd=-1))
-_CUM = _int_basis @ _coeff_from_vals
-del _vander, _coeff_from_vals, _int_basis, _e, _k
+# Cumulative integration matrices on the Gauss-Legendre nodes: given values
+# v_i = p(x_i), (_CUM @ v)_j approximates the antiderivative of p from -1 to
+# x_j, and (legvander(x, _GL_N) @ _DENSE) @ v the same at any x in [-1, 1]
+# (dense output; at the nodes those rows are _CUM).  Built by mapping node
+# values to Legendre coefficients and integrating the basis exactly.
+_coeff_from_vals = np.linalg.inv(_leg.legvander(_GL_X, _GL_N - 1))
+_int_coeffs = np.stack([_leg.legint(e, lbnd=-1) for e in np.eye(_GL_N)], axis=1)
+_CUM = _leg.legval(_GL_X, _int_coeffs).T @ _coeff_from_vals
+_DENSE = _int_coeffs @ _coeff_from_vals
+del _coeff_from_vals, _int_coeffs
 
 
 def _panel_breaks(max_abs: float) -> np.ndarray:
@@ -107,6 +99,16 @@ def exp_path_integrals(
     return g.reshape(zs.shape), f.reshape(zs.shape)
 
 
+def _graded_breaks(r_max: float) -> np.ndarray:
+    """Breaks b_0 = 0, b_{k+1} = min(r_max, (1 + 2 b_k)/3) of [0, r_max]: each
+    panel is at most half as long as the distance from its far end to the
+    circle (10 panels to 0.98, 12 to 0.99, 52 to 1 - 1e-9)."""
+    breaks = [0.0]
+    while breaks[-1] < r_max:
+        breaks.append(min(r_max, (1.0 + 2.0 * breaks[-1]) / 3.0))
+    return np.array(breaks)
+
+
 def ray_path_integrals(
     p_func: Callable[[np.ndarray], np.ndarray],
     radii: np.ndarray,
@@ -114,75 +116,48 @@ def ray_path_integrals(
 ) -> np.ndarray:
     """F of :func:`exp_path_integrals` at radii[k] * exp(i thetas[j]).
 
-    ``radii`` must be increasing, positive and below 1.  Each ray is cut
-    at 0 and at every radius, and each gap is split into the fewest equal
-    panels no longer than the distance from the last radius to the circle.
-    With radii that close together (0.98 * k/n for n >= 49) that is one
-    panel per gap, and ``p_func`` is evaluated 16 times per grid node, over
-    blocks of whole rays of at most ``_BLOCK_NODES`` nodes (one ray when a
-    ray alone has more).  The output has shape (len(radii), len(thetas)).
+    ``radii`` must be increasing, positive and below 1.  Each ray is
+    integrated once, over the graded panels of ``_graded_breaks(radii[-1])``,
+    so ``p_func`` is evaluated 16 times per panel and ray, whatever the number
+    of radii, over blocks of whole rays of at most ``_BLOCK_NODES`` nodes (one
+    ray when a ray alone has more).  F at a radius is F at its panel's start
+    plus the integral of the panel's interpolant of exp(G) up to the radius
+    (dense output).  The output has shape (len(radii), len(thetas)).
     """
     radii = np.asarray(radii, dtype=float)
     dirs = np.exp(1j * np.asarray(thetas, dtype=float))
-    breaks = np.concatenate([[0.0], radii])
-    gaps = np.diff(breaks)
-    m = max(1, int(np.ceil(gaps.max() / (1.0 - radii[-1]))))
-    half = np.repeat(0.5 * gaps / m, m)
-    starts = np.repeat(breaks[:-1], m) + 2.0 * half * np.tile(np.arange(m), radii.size)
-    nodes = starts[:, None] + half[:, None] * (_GL_X + 1.0)
+    breaks = _graded_breaks(float(radii[-1]))
+    half = 0.5 * np.diff(breaks)
+    nodes = breaks[:-1, None] + half[:, None] * (_GL_X + 1.0)  # (panel, node)
+    panel = np.searchsorted(breaks, radii) - 1  # breaks[panel] < r <= breaks[panel + 1]
+    dense = _leg.legvander((radii - breaks[panel]) / half[panel] - 1.0, _GL_N) @ _DENSE
+    cuts = np.searchsorted(panel, np.arange(half.size + 1))  # radii of panel j: cuts[j]:cuts[j + 1]
     f = np.empty((radii.size, dirs.size), dtype=complex)
     step = max(1, _BLOCK_NODES // nodes.size)
     for lo in range(0, dirs.size, step):
         rays = slice(lo, lo + step)
-        f[:, rays] = _ray_block(p_func, dirs[rays], nodes, half)[:, m - 1 :: m].T
+        f[:, rays] = _ray_block(p_func, dirs[rays], nodes, half, dense, cuts)
     return f
 
 
-def _ray_block(p_func, dirs, nodes, half):
-    """F at the end of every panel of the rays ``dirs``, shape (ray, panel)."""
+def _ray_block(p_func, dirs, nodes, half, dense, cuts):
+    """F at every radius of the rays ``dirs``, shape (radius, ray)."""
     w = dirs[:, None, None] * nodes[None, :, :]  # (ray, panel, node)
     pv = p_func(w)
     scale = dirs[:, None] * half[None, :]
     g = np.cumsum(scale * (pv @ _GL_W), axis=1)
     g_start = np.concatenate([np.zeros((dirs.size, 1)), g[:, :-1]], axis=1)
-    g_nodes = g_start[:, :, None] + scale[:, :, None] * (pv @ _CUM.T)
-    return np.cumsum(scale * (np.exp(g_nodes) @ _GL_W), axis=1)
-
-
-# Recursion depth cap of ``adaptive_simpson``
-_SIMPSON_MAX_DEPTH = 30
-
-
-def adaptive_simpson(
-    func: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-) -> float:
-    """Recursive adaptive Simpson rule with Richardson correction."""
-    if a == b:
-        return 0.0
-    fa, fb = func(a), func(b)
-    m = 0.5 * (a + b)
-    fm = func(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(func, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)
-
-
-def _simpson_rec(func, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = func(lm)
-    frm = func(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = (left + right - whole) / 15.0
-    if depth <= 0 or abs(err) <= tol:
-        return left + right + err
-    return _simpson_rec(func, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_rec(
-        func, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+    fp = np.exp(g_start[:, :, None] + scale[:, :, None] * (pv @ _CUM.T))
+    f_end = np.cumsum(scale * (fp @ _GL_W), axis=1)
+    f = np.empty((cuts[-1], dirs.size), dtype=complex)
+    f_start = 0.0
+    # one small product per panel: one product over all radii at once is
+    # large enough for OpenBLAS to run it on several threads
+    for j in range(half.size):
+        rows = slice(cuts[j], cuts[j + 1])
+        f[rows] = f_start + scale[:, j] * (dense[rows] @ fp[:, j].T)
+        f_start = f_end[:, j]
+    return f
 
 
 def richardson_limit(values: np.ndarray) -> float:

@@ -5,8 +5,8 @@ disk, 0 < c <= 3; F0(c) adds f''(0) = 0.  This module hosts:
 
 * the membership decider and the two equivalent pointwise margin tests
   derived from the Schur datum phi = (f''/f') / (z f''/f' + c);
-* sharp growth and distortion bounds for F0(c) with quadrature-backed
-  growth integrals;
+* sharp growth and distortion bounds for F0(c), the growth bounds read off
+  the extremal map f_c* on two rays;
 * the norm bounds ||P_f|| <= c and ||S_f|| <= c(4-c)/2 plus the
   gamma-weighted pointwise Schwarzian bound for F(c).  The two Schwarzian
   bounds are checked as stated, with the factor (1 - c/2); so stated they
@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._integrate import adaptive_simpson
 from ._sampling import disk_samples
 from .errors import (
     DivisionBySingular,
@@ -46,6 +45,7 @@ from .errors import (
 from .functions import (
     AnalyticFunction,
     ClassSpec,
+    ExtremalFcStar,
     QuadraticPerturbation,
     SchurFunction,
     SubordinationMember,
@@ -228,22 +228,22 @@ def _bound_table(c: float, radii: np.ndarray) -> np.ndarray:
     """The four bounds of ``GrowthDistortionBounds`` at every radius, one
     row each, in field order.
 
-    Distortion: (1+r^2)^(-c/2) <= |f'| <= (1-r^2)^(-c/2); growth integrates
-    the same kernels from 0 to r, cumulatively over the radii in increasing
-    order, one adaptive Simpson segment per kernel and radius at tol 1e-13.
+    Distortion: (1+r^2)^(-c/2) <= |f'| <= (1-r^2)^(-c/2).  Growth: f_c*,
+    with f_c*'(z) = (1-z^2)^(-c/2), attains both bounds, so growth_high(r) =
+    f_c*(r) and growth_low(r) = -i f_c*(ir); one ray integration on each of
+    the two rays gives them at every distinct positive radius, and both are
+    0 at r = 0.
     """
-    ClassSpec(c)
+    fc_star = ExtremalFcStar(c)
     half = c / 2.0
-    kernels = (lambda t: (1.0 + t * t) ** -half, lambda t: (1.0 - t * t) ** -half)
-    order = np.argsort(radii, kind="stable")
-    acc, prev, rows = [0.0] * len(kernels), 0.0, []
-    for r in radii[order].tolist():
-        acc = [a + adaptive_simpson(kernel, prev, r, tol=1e-13) for a, kernel in zip(acc, kernels)]
-        rows.append(acc)
-        prev = r
-    growth = np.empty((len(kernels), radii.size))
-    growth[:, order] = np.array(rows).T
-    return np.concatenate([[kernel(radii) for kernel in kernels], growth])
+    rs, where = np.unique(radii, return_inverse=True)
+    growth = np.zeros((2, rs.size))
+    pos = rs > 0.0
+    if pos.any():
+        vals = fc_star._polar_value(rs[pos], np.array([0.0, 0.5 * np.pi]))
+        growth[:, pos] = vals[:, 1].imag, vals[:, 0].real  # Re(-i f(ir)), Re f(r)
+    distortion = [(1.0 + radii * radii) ** -half, (1.0 - radii * radii) ** -half]
+    return np.concatenate([distortion, growth[:, where]])
 
 
 @functools.lru_cache(maxsize=1)
@@ -467,10 +467,12 @@ def univalence_bruteforce(f: AnalyticFunction, gridsize: int = 100) -> bool:
     image i leaves the sweep at the first offset where that gap exceeds
     1e-10, and the sweep stops when none is left, so no close pair is
     missed.
-    Raises ``ValueError`` when an image is not finite.  The time of the
-    evaluation grows with gridsize**2, hence the gridsize cap; its memory
-    does not, as path-integrated kinds integrate the rays in blocks of at
-    most ``_integrate._BLOCK_NODES`` nodes.
+    Raises ``ValueError`` when an image is not finite.  The grid has
+    gridsize**2 nodes, hence the gridsize cap.  Path-integrated kinds
+    integrate each ray once over 10 graded panels, so their integration
+    grows with gridsize alone, in blocks of whole rays of at most
+    ``_integrate._BLOCK_NODES`` nodes; reading f at the radii off each
+    panel's interpolant, and the sweep, grow with gridsize**2.
     """
     if not 2 <= gridsize <= 200:
         raise ValueError("gridsize must lie in [2, 200] (evaluation grows with gridsize**2)")

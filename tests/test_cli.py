@@ -461,8 +461,8 @@ class TestDeterminismAndIO:
 
     @pytest.mark.parametrize("value", ["5", "0", "nan", "inf"])
     def test_growth_refuses_c_outside_the_class(self, capsys, value):
-        # a non-finite c would make every Simpson error estimate NaN and
-        # recurse to the depth cap: it must stop at the class check
+        # a non-finite c would fill the growth table with NaN: it must stop
+        # at the class check
         assert main(["growth", "--c", value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -27,7 +27,15 @@ from schwarznorm.functions import (
     random_member,
     random_schur,
 )
-from schwarznorm._integrate import _BLOCK_NODES, _CUM, _GL_N, _GL_W, _GL_X, _panel_breaks
+from schwarznorm._integrate import (
+    _BLOCK_NODES,
+    _CUM,
+    _GL_N,
+    _GL_W,
+    _GL_X,
+    _graded_breaks,
+    _panel_breaks,
+)
 from schwarznorm._sampling import disk_samples
 from schwarznorm.jets import jet_exp, jet_integrate
 from schwarznorm.norms import weighted_modulus
@@ -886,23 +894,46 @@ class TestPolarValue:
     )
     def test_closed_form_and_default_kinds(self, builder):
         f = builder()
-        for gridsize in (5, 50, 100, 200):  # at 5 the gaps are split into panels
+        for gridsize in (5, 50, 100, 200):  # from empty panels (5) to 68 radii in one (200)
             self.assert_matches_value(f, gridsize)
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+    def test_near_the_circle(self, c):
+        # one ray integration reaches 1 - 1e-6 over 35 graded panels; the
+        # values keep to 1e-15/(1 - r) of value()'s
+        radii = 1.0 - np.logspace(-1, -6, 11)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        want_at = radii[:, None] * np.exp(1j * thetas)[None, :]
+        for f in schur_panel("F", c) + schur_panel("F0", c) + [ExtremalFcStar(c), ExtremalFc(c)]:
+            got, want = f._polar_value(radii, thetas), f.value(want_at)
+            rel = np.abs(got - want) / np.abs(want)
+            assert np.all(rel <= 1e-15 / (1.0 - radii[:, None])), (f, np.max(rel * (1.0 - radii[:, None])))
+
     def test_one_integration_pass_per_ray(self):
-        # 16 integrand values per grid node; value() takes 8 panels of 16
+        # 16 integrand values per graded panel (10 to 0.98) and ray, whatever
+        # the number of radii; value() takes 8 panels of 16 per point
         for f, sizes in integrand_sizes():
             f._polar_value(*polar_grid(50))
-            assert sum(sizes) == 50 * 50 * 16, (f, sizes)
+            assert sum(sizes) == 50 * 10 * 16, (f, sizes)
 
     @pytest.mark.parametrize("gridsize", [50, 200])
     def test_ray_blocks_stay_within_the_block_bound(self, gridsize):
         # blocks of whole rays: no integrand call exceeds _BLOCK_NODES nodes,
-        # and together they still take 16 nodes per grid node
+        # and together they still take 16 nodes per graded panel and ray
         for f, sizes in integrand_sizes():
             f._polar_value(*polar_grid(gridsize))
             assert max(sizes) <= _BLOCK_NODES, (f, gridsize, max(sizes))
-            assert sum(sizes) == gridsize * gridsize * 16, (f, gridsize, sum(sizes))
+            assert sum(sizes) == gridsize * 10 * 16, (f, gridsize, sum(sizes))
+
+    def test_graded_panels(self):
+        # each panel is at most half as long as its far end's distance to the
+        # circle, up to one rounding of a number near 1
+        for r_max in [*np.linspace(0.01, 0.999, 100), *(1.0 - np.logspace(-3, -12, 40))]:
+            breaks = _graded_breaks(float(r_max))
+            assert breaks[0] == 0.0 and breaks[-1] == r_max
+            assert np.all(np.diff(breaks) > 0.0), r_max
+            assert np.all(np.diff(breaks) <= 0.5 * (1.0 - breaks[1:]) + np.spacing(1.0)), r_max
+        assert [_graded_breaks(r).size - 1 for r in (0.98, 0.99, 1.0 - 1e-9)] == [10, 12, 52]
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
     def test_bruteforce_verdicts(self, c):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -175,6 +176,20 @@ GROWTH_CLOSED_FORMS = {
 }
 
 
+# the c values of the acceptance suite
+C_SET = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+def mp_bound_rows(c, r):
+    """The four rows of ``_bound_table`` at r in 40-digit mpmath: the growth
+    integrals of (1 +- t^2)^(-c/2) from 0 to r are r 2F1(c/2, 1/2; 3/2; -+r^2)."""
+    with mpmath.workdps(40):
+        a, r = mpmath.mpf(c) / 2, mpmath.mpf(r)
+        rows = [(1 + r * r) ** -a, (1 - r * r) ** -a,
+                r * mpmath.hyp2f1(a, 0.5, 1.5, -r * r), r * mpmath.hyp2f1(a, 0.5, 1.5, r * r)]
+        return [float(v) for v in rows]
+
+
 class TestGrowthDistortion:
     def test_r_zero(self):
         b = growth_distortion_bounds(1.5, 0.0)
@@ -190,6 +205,22 @@ class TestGrowthDistortion:
         for got in (_bound_table(c, rs)[2:],
                     np.array([[b.growth_low for b in single], [b.growth_high for b in single]])):
             assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("c", C_SET)
+    def test_rows_match_mpmath(self, c):
+        rs = np.linspace(0.0, 0.99, 10)
+        got = _bound_table(c, rs)
+        want = np.array([mp_bound_rows(c, r) for r in rs]).T
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), np.max(np.abs(got - want) / want)
+
+    @pytest.mark.parametrize("c", C_SET)
+    def test_growth_high_near_the_circle(self, c):
+        # rounding errors in r and along the ray are amplified like 1/(1 - r)
+        for k in range(3, 10):
+            r = 1.0 - 10.0**-k
+            got = growth_distortion_bounds(c, r).growth_high
+            want = mp_bound_rows(c, r)[3]
+            assert abs(got - want) <= 1e-16 / (1.0 - r) * want, (k, got / want - 1.0)
 
     def test_growth_low_near_boundary(self):
         b = growth_distortion_bounds(2.0, 1 - 1e-9)
@@ -236,13 +267,12 @@ class TestGrowthDistortion:
             assert got == want
             assert same_json(got.to_json_dict(), reference_bound_report_dict(want))
         calls = []
-        simpson = theorems.adaptive_simpson
-        monkeypatch.setattr(theorems, "adaptive_simpson",
-                            lambda *args, **kwargs: calls.append(args) or simpson(*args, **kwargs))
+        monkeypatch.setattr(theorems, "_bound_table",
+                            lambda c, radii: calls.append(radii.size) or _bound_table(c, radii))
         assert verify_growth_distortion(f, 2.0, 150) == want
         assert calls == []
         verify_growth_distortion(f, 2.0, 200)
-        assert len(calls) == 2 * 200  # a low and a high integral per radius
+        assert calls == [200]  # one table over the 200 sample radii
 
 
 # The growth/distortion fold and the literal report dicts from before
