@@ -102,10 +102,13 @@ def exp_path_integrals(
 def _graded_breaks(r_max: float) -> np.ndarray:
     """Breaks b_0 = 0, b_{k+1} = min(r_max, (1 + 2 b_k)/3) of [0, r_max]: each
     panel is at most half as long as the distance from its far end to the
-    circle (10 panels to 0.98, 12 to 0.99, 52 to 1 - 1e-9)."""
+    circle (10 panels to 0.98, 12 to 0.99, 52 to 1 - 1e-9).  Near 1 the
+    recurrence rounds to a fixed point (b = 1 - 3 * 2**-53); a break that does
+    not move forward is replaced by r_max."""
     breaks = [0.0]
     while breaks[-1] < r_max:
-        breaks.append(min(r_max, (1.0 + 2.0 * breaks[-1]) / 3.0))
+        nxt = min(r_max, (1.0 + 2.0 * breaks[-1]) / 3.0)
+        breaks.append(nxt if nxt > breaks[-1] else r_max)
     return np.array(breaks)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -927,8 +928,10 @@ class TestPolarValue:
 
     def test_graded_panels(self):
         # each panel is at most half as long as its far end's distance to the
-        # circle, up to one rounding of a number near 1
-        for r_max in [*np.linspace(0.01, 0.999, 100), *(1.0 - np.logspace(-3, -12, 40))]:
+        # circle, up to one rounding of a number near 1; the recurrence stalls
+        # below 1 - 2**-52, so the two largest radii below 1 must still end
+        largest = [math.nextafter(1.0, 0.0), 1.0 - 2.0**-52]
+        for r_max in [*np.linspace(0.01, 0.999, 100), *(1.0 - np.logspace(-3, -12, 40)), *largest]:
             breaks = _graded_breaks(float(r_max))
             assert breaks[0] == 0.0 and breaks[-1] == r_max
             assert np.all(np.diff(breaks) > 0.0), r_max

@@ -222,6 +222,15 @@ class TestGrowthDistortion:
             want = mp_bound_rows(c, r)[3]
             assert abs(got - want) <= 1e-16 / (1.0 - r) * want, (k, got / want - 1.0)
 
+    @pytest.mark.parametrize("c", C_SET)
+    def test_largest_radii_below_one(self, c):
+        for r in (math.nextafter(1.0, 0.0), 1.0 - 2.0**-52):
+            b = growth_distortion_bounds(c, r)
+            want = mp_bound_rows(c, r)
+            got = [b.distortion_low, b.distortion_high, b.growth_low]
+            assert np.all(np.abs(np.subtract(got, want[:3])) <= 1e-14 * np.abs(want[:3])), (r, got)
+            assert abs(b.growth_high - want[3]) <= 1e-16 / (1.0 - r) * want[3], (r, b.growth_high)
+
     def test_growth_low_near_boundary(self):
         b = growth_distortion_bounds(2.0, 1 - 1e-9)
         assert abs(b.growth_low - math.pi / 4) < 1e-6
