@@ -18,6 +18,12 @@ are evaluated from exact rational expressions everywhere in the disk; f and
 f' themselves are recovered by path integration along [0, z].  Values of
 every function are vectorized over numpy arrays.
 
+f''/f' of a member is also a finite pole sum c * sum_j mu_j/(zeta_j - z)
+over the Aleksandrov-Clark atoms of omega (``clark_atoms``), built on first
+use.  A member's jet at z != 0 reads the Taylor coefficients of f''/f' off
+it in closed form; its jet at the origin runs the Schur jets, and the P_f
+and S_f hooks the Blaschke form, so each is a cross-check of the other.
+
 Each kind has one hook per quantity, and the P_f and S_f hooks take an
 ndarray or a plain complex: a scalar query runs the same formula on the
 scalar.  Kinds built from numpy operations (polynomials, compositions,
@@ -31,6 +37,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,10 @@ from .jets import (
 )
 
 DEFAULT_JET_ORDER = 32
+
+# Clark atoms of the Schur-built members, built on first use; weak keys, so
+# the function is never modified and its atoms go with it
+_ATOMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _prep(z) -> tuple[np.ndarray, bool]:
@@ -471,6 +482,11 @@ class SubordinationMember(AnalyticFunction):
     G = integral of f''/f' along [0, z], and f integrates f'.  Membership
     holds by construction since omega = z*phi maps into the disk with
     omega(0) = 0.
+
+    The jet at z != 0 takes f and f' from one path integral to z, and the
+    Taylor coefficients of f''/f' from the pole sums over the Clark atoms
+    (``clark_atoms``); f'' and up follow from u' = (f''/f') u for u = f'.
+    The jet at 0 builds f''/f' from the Schur jets.
     """
 
     kind = "subordination"
@@ -522,12 +538,53 @@ class SubordinationMember(AnalyticFunction):
         return jet_integrate(fp).truncated(order)
 
     def _p_jet(self, z: complex, order: int) -> TaylorJet:
-        """Jet of f''/f' = c*phi/(1 - z*phi) at z."""
+        """Jet of f''/f' = c*phi/(1 - z*phi) at z from the Schur jets: the
+        origin jet's route, which keeps f''(0) of an F0 member exactly 0."""
         zj, phi = jet_identity(z, order), self.schur.jet(z, order)
         if self.variant == "F0":
             phi = jet_mul(zj, phi)
         one_minus = jet_add(jet_constant(1.0, order, z), jet_scale(jet_mul(zj, phi), -1.0))
         return jet_scale(jet_div(phi, one_minus), self.c)
+
+    def clark_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(zeta, mu) with P_f(z) = c * sum_j mu_j / (zeta_j - z).
+
+        The zeta_j are the roots of omega = z^k s = 1 (k = 1 for F, 2 for
+        F0): with s = N/D they are the zeros of q = D - z^k N, from
+        ``np.roots`` and one Newton step on log omega.  The masses are
+        mu_j = 1/(zeta_j omega'(zeta_j)), real and positive.  For inner s
+        these are the n + k Aleksandrov-Clark atoms of omega, on the circle,
+        with masses summing to 1; a constant s = sigma with |sigma| < 1 has
+        the k roots of sigma z^k = 1, outside the disk, each of mass 1/k, and
+        sigma = 0 has none.  Built on first use.
+        """
+        if self in _ATOMS:
+            return _ATOMS[self]
+        s, k = self.schur, 2 if self.variant == "F0" else 1
+        if s.kind == "constant":
+            den, num = np.ones(1), np.array([s.constant])
+        else:
+            # highest power first: N = rotation * prod (z - a_j) and
+            # D = prod (1 - conj(a_j) z), the reversed conjugate of prod (z - a_j)
+            monic = np.atleast_1d(np.poly(s.zeros))
+            den, num = np.conj(monic[::-1]), s.rotation * monic
+        zeta = np.roots(np.polysub(den, np.concatenate([num, np.zeros(k)]))).astype(complex)
+        sv, ds = s.value_and_deriv(zeta)
+        zeta = zeta - np.log(zeta**k * sv) / (k / zeta + ds / sv)
+        if s.kind == "blaschke" or abs(s.constant) == 1.0:
+            zeta = zeta / np.abs(zeta)
+        sv, ds = s.value_and_deriv(zeta)
+        atoms = _ATOMS[self] = zeta, (1.0 / (zeta**k * (k * sv + zeta * ds))).real
+        for a in atoms:  # every caller shares them
+            a.flags.writeable = False
+        return atoms
+
+    def _p_coeffs(self, z: complex, count: int) -> list[complex]:
+        """The first ``count`` Taylor coefficients of f''/f' at z, from the
+        pole sums p_k = c * sum_j mu_j (zeta_j - z)^-(k+1)."""
+        zeta, mu = self.clark_atoms()
+        w = 1.0 / (zeta - z)
+        return (np.cumprod(np.broadcast_to(w, (count, w.size)), axis=0) @ (self.c * mu)).tolist()
 
     def jet(self, z, order):
         z = complex(z)
@@ -535,11 +592,13 @@ class SubordinationMember(AnalyticFunction):
             return self.origin_jet(order)
         if order == 0:
             return TaylorJet(z, (self.value(z),))
-        p = self._p_jet(z, order)
+        p = self._p_coeffs(z, order - 1)
         g, f0 = exp_path_integrals(self._preschwarzian, np.array([z]))
-        u = [np.exp(complex(g[0]))]  # f' and its derivatives via u' = p u
+        # f' and its derivatives via u' = p u, on plain complexes, which
+        # take half the time of numpy's complex scalars
+        u = [complex(np.exp(complex(g[0])))]
         for m in range(order - 1):
-            acc = sum(p.coeffs[i] * u[m - i] for i in range(m + 1))
+            acc = sum(p[i] * u[m - i] for i in range(m + 1))
             u.append(acc / (m + 1))
         coeffs = [complex(f0[0])] + [u[k] / (k + 1) for k in range(order)]
         return TaylorJet(z, tuple(coeffs))

@@ -612,6 +612,9 @@ class TestOriginJet:
         gamma_of(f, 2.0)
         jet_at(f, 0j, 3)
         schwarzian_at(f, 0j)
+        # nor do jets at z != 0, whose Clark atoms are kept outside f
+        jet_at(f, 0.3 - 0.2j, 32)
+        schwarzian_at(f, -0.5j)
         assert vars(f) == before
 
 

@@ -6,12 +6,12 @@ Each tree runs in its own Python process with PYTHONPATH=<tree>/src and
 produces a standard set of 18 outputs: the 16 CLI invocations in COMMANDS,
 run through ``schwarznorm.cli.main``, the NormEstimate dicts of the 122
 norm-sweep searches, and the pointwise routes: order-32 jets, P_f and S_f at
-three points z != 0, and f and f' at 1, 4, 200 and 1,000 points, on Koebe,
-f_{c,lambda} and two Schur-built members.  The script prints every exit-code
-difference, every JSON value that moved (by path, old -> new), a text diff
-of any other stdout and of stderr without its wall-clock line, and exits 0
-only when nothing moved (1 when something did, 2 when a tree could not run
-the set).
+three points z != 0 and at two near the circle (radius 0.99 and 1 - 1e-6),
+and f and f' at 1, 4, 200 and 1,000 points, on Koebe, f_{c,lambda} and two
+Schur-built members.  The script prints every exit-code difference, every
+JSON value that moved (by path, old -> new), a text diff of any other stdout
+and of stderr without its wall-clock line, and exits 0 only when nothing
+moved (1 when something did, 2 when a tree could not run the set).
 
 Values are compared bit for bit, so both trees must run on the same machine:
 numpy picks some floating-point loops by CPU feature.  Run against itself
@@ -104,7 +104,8 @@ for label, f in [
     ("random_member(ClassSpec(2.0, False), 4, 4)", sn.random_member(sn.ClassSpec(2.0, False), 4, 4)),
     ("random_member(ClassSpec(3.0, True), 8, 8)", sn.random_member(sn.ClassSpec(3.0, True), 8, 8)),
 ]:
-    for z in (0.3 - 0.2j, -0.6 + 0.5j, 0.9j):
+    # the last two lie at radius 0.99 and 1 - 1e-6
+    for z in (0.3 - 0.2j, -0.6 + 0.5j, 0.9j, 0.594 + 0.792j, (1 - 1e-6) * (-0.8 + 0.6j)):
         pointwise[f"{label} jet_at({z}, 32)"] = pairs(sn.jet_at(f, z, 32).coeffs)
         pointwise[f"{label} preschwarzian_at({z})"] = pairs([sn.preschwarzian_at(f, z)])
         pointwise[f"{label} schwarzian_at({z})"] = pairs([sn.schwarzian_at(f, z)])
